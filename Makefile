@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench soak fuzz fmt vet examples ci rib-fixture rib-measure fleet fleet-smoke fleet-corpus
+.PHONY: build test race bench bench-e2e soak fuzz fmt vet examples ci rib-fixture rib-measure fleet fleet-smoke fleet-corpus
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Single-pass bench run, the same invocation CI archives (bench.txt is the
-# BENCH_* data source).
+# Single-pass microbenchmark run, the same invocation CI archives and
+# diffs against the PR base (cmd/benchdiff).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... | tee bench.txt
+
+# The end-to-end benchmark (benchmark/README.md): builds artemisd, drives
+# every workload through it and prints every metric; pass harness flags
+# in BENCH_ARGS, e.g. BENCH_ARGS='--workload ris-paced --trace 1'.
+BENCH_ARGS ?=
+bench-e2e:
+	bash benchmark/run.sh $(BENCH_ARGS)
 
 # Fetch-or-generate the full-scale RIB fixture: a deterministic
 # TABLE_DUMP_V2 snapshot sized like today's global table (~1M v4 + ~220k
@@ -57,7 +64,9 @@ soak:
 	ARTEMIS_SOAK=10s $(GO) test -race -run TestSoakFlappingFeeds -count=1 -v ./internal/ingest
 
 # Fuzz the wire-facing parsers: the dual-stack parse/format core, the
-# BMP message layer, and the event-envelope codec. Each target runs for
+# BMP message layer, the JSON scanner, and the two JSON feed decoders
+# (event envelopes and RIS-Live messages, each against its encoding/json
+# reference). Each target runs for
 # FUZZTIME (default 30s); new inputs that fail land in the package's
 # testdata/fuzz/ directory.
 FUZZTIME ?= 30s
@@ -66,7 +75,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrefix -fuzztime=$(FUZZTIME) ./internal/prefix
 	$(GO) test -run='^$$' -fuzz=FuzzPrefixString -fuzztime=$(FUZZTIME) ./internal/prefix
 	$(GO) test -run='^$$' -fuzz=FuzzBMPMessage -fuzztime=$(FUZZTIME) ./internal/bgp/bmp
+	$(GO) test -run='^$$' -fuzz=FuzzScanner -fuzztime=$(FUZZTIME) ./internal/jsonscan
 	$(GO) test -run='^$$' -fuzz=FuzzEventJSON -fuzztime=$(FUZZTIME) ./internal/feeds/eventlog
+	$(GO) test -run='^$$' -fuzz=FuzzRISMessage -fuzztime=$(FUZZTIME) ./internal/feeds/ris
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

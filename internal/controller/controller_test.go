@@ -199,6 +199,11 @@ func TestBGPInjectorSendsUpdates(t *testing.T) {
 
 	inj := NewBGPInjector(196615, prefix.MustParseAddr("192.0.2.1"), sess)
 	ctrl := NewReal(inj, WithConfigDelay(10*time.Millisecond))
+	// The peer can read the UPDATE before the controller's timer callback
+	// records the action, so the action is awaited through OnResult, not
+	// read straight after the UPDATE arrives.
+	applied := make(chan Action, 1)
+	ctrl.OnResult(func(a Action) { applied <- a })
 	p := prefix.MustParse("10.0.0.0/24")
 	if err := ctrl.Announce(p); err != nil {
 		t.Fatal(err)
@@ -210,6 +215,14 @@ func TestBGPInjectorSendsUpdates(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("BGP update not delivered")
+	}
+	select {
+	case a := <-applied:
+		if a.Failed() {
+			t.Fatalf("announce failed: %v", a.Err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("announce result not reported")
 	}
 	acts := ctrl.Actions()
 	if len(acts) != 1 {

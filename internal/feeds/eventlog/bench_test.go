@@ -2,12 +2,14 @@ package eventlog
 
 import (
 	"testing"
+
+	"artemis/internal/feeds/feedtypes"
 )
 
 // BenchmarkEventJSONRoundTrip measures the interchange cost per event:
-// one AppendRecord into a reused buffer (the recorder's hot path —
-// gated at zero-and-a-bit allocs) plus one ParseRecord (the replay
-// path, which allocates the decoded path slice and strings).
+// one AppendRecord into a reused buffer (the recorder's hot path) and one
+// decode into a reused batch (the replay path). Both are gated at
+// zero-and-a-bit allocs.
 func BenchmarkEventJSONRoundTrip(b *testing.B) {
 	evs := sampleEvents()
 	rec := Record{Seq: 42, Event: evs[0]}
@@ -21,10 +23,13 @@ func BenchmarkEventJSONRoundTrip(b *testing.B) {
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
+		var d decoder
+		var batch feedtypes.Batch
 		b.SetBytes(int64(len(buf)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ParseRecord(buf); err != nil {
+			batch.Reset()
+			if _, err := d.batch(buf, &batch); err != nil {
 				b.Fatal(err)
 			}
 		}

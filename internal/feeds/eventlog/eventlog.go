@@ -1,8 +1,9 @@
 // Package eventlog defines the canonical interchange form for
 // feedtypes.Event — a bgpipe-style JSON envelope, one event per line —
 // and the machinery built on it: an allocation-free encoder, a stream
-// decoder, and a rotating file Recorder that archives the post-dedup
-// event stream off the hot path (recorder.go).
+// decoder (allocation-free too when it decodes into a Batch), and a
+// rotating file Recorder that archives the post-dedup event stream off
+// the hot path (recorder.go).
 //
 // # The envelope
 //
@@ -26,15 +27,14 @@ package eventlog
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
 	"artemis/internal/bgp"
 	"artemis/internal/feeds/feedtypes"
+	"artemis/internal/jsonscan"
 	"artemis/internal/prefix"
 )
 
@@ -74,118 +74,186 @@ func AppendRecord(dst []byte, r Record) []byte {
 		dst = strconv.AppendUint(dst, uint64(asn), 10)
 	}
 	dst = append(dst, `]},{"src":`...)
-	dst = appendJSONString(dst, ev.Source)
+	dst = jsonscan.AppendString(dst, ev.Source)
 	dst = append(dst, `,"col":`...)
-	dst = appendJSONString(dst, ev.Collector)
+	dst = jsonscan.AppendString(dst, ev.Collector)
 	dst = append(dst, `,"seen":`...)
 	dst = strconv.AppendInt(dst, int64(ev.SeenAt), 10)
 	dst = append(dst, '}', ']', '\n')
 	return dst
 }
 
-// appendJSONString appends s as a JSON string literal. Only the
-// characters JSON requires escaped ('"', '\\', controls) are escaped;
-// invalid UTF-8 is replaced with U+FFFD, matching encoding/json, so
-// the encoder's output is always what its own decoder returns.
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			switch {
-			case b == '"' || b == '\\':
-				dst = append(dst, '\\', b)
-			case b >= 0x20:
-				dst = append(dst, b)
-			case b == '\n':
-				dst = append(dst, '\\', 'n')
-			case b == '\r':
-				dst = append(dst, '\\', 'r')
-			case b == '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xf])
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, "�"...)
-			i++
-			continue
-		}
-		dst = append(dst, s[i:i+size]...)
-		i += size
+// decoder decodes envelope lines on a jsonscan.Scanner. It accepts exactly
+// the lines encoding/json accepts into the reference structs kept in the
+// package's tests, and returns the same records; FuzzEventJSON holds it
+// to that. The zero value is ready to use, and its scratch space is
+// reused, so decoding into a Batch allocates nothing once it has grown.
+type decoder struct {
+	sc   jsonscan.Scanner
+	path jsonscan.Uint32s
+	// src and col hold the meta strings of the line being decoded; strs
+	// interns them for events decoded into a batch.
+	src, col []byte
+	pfx      []byte
+	strs     feedtypes.Interner
+}
+
+// batch decodes one envelope line and appends its event to b: the path in
+// b's arena, the source and collector names interned, so both stay valid
+// as long as b's events do. It returns the record's sequence number.
+func (d *decoder) batch(line []byte, b *feedtypes.Batch) (uint64, error) {
+	var ev feedtypes.Event
+	seq, err := d.fields(line, &ev)
+	if err != nil {
+		return 0, err
 	}
-	return append(dst, '"')
-}
-
-// envelope mirrors the wire array for decoding; the heterogeneous
-// fields arrive as raw JSON and are typed individually.
-type wireData struct {
-	Prefix string   `json:"prefix"`
-	VP     uint32   `json:"vp"`
-	Path   []uint32 `json:"path"`
-}
-
-type wireMeta struct {
-	Src  string `json:"src"`
-	Col  string `json:"col"`
-	Seen int64  `json:"seen"`
+	if n := len(d.path.Values()); n > 0 {
+		ev.Path = d.copyPath(b.NewPath(n))
+	}
+	ev.Source, ev.Collector = d.strs.Intern(d.src), d.strs.Intern(d.col)
+	b.Append(ev)
+	return seq, nil
 }
 
 // ParseRecord decodes one envelope line (with or without the trailing
-// newline).
+// newline) into a record that owns its path and strings.
 func ParseRecord(line []byte) (Record, error) {
-	var arr [6]json.RawMessage
-	elems := arr[:0]
-	if err := json.Unmarshal(line, &elems); err != nil {
-		return Record{}, fmt.Errorf("eventlog: %w", err)
-	}
-	if len(elems) != 6 {
-		return Record{}, fmt.Errorf("eventlog: envelope has %d elements, want 6", len(elems))
-	}
-	var dir, typ string
+	var d decoder
+	return d.record(line)
+}
+
+// record decodes one envelope line into a record that owns its path and
+// strings.
+func (d *decoder) record(line []byte) (Record, error) {
 	var r Record
-	var emitted int64
-	var data wireData
-	var meta wireMeta
-	for i, dst := range []any{&dir, &r.Seq, &emitted, &typ, &data, &meta} {
-		if err := json.Unmarshal(elems[i], dst); err != nil {
-			return Record{}, fmt.Errorf("eventlog: envelope[%d]: %w", i, err)
-		}
-	}
-	if dir != "R" {
-		return Record{}, fmt.Errorf("eventlog: unknown direction %q", dir)
-	}
-	ev := &r.Event
-	switch typ {
-	case "announce":
-		ev.Kind = feedtypes.Announce
-	case "withdraw":
-		ev.Kind = feedtypes.Withdraw
-	default:
-		return Record{}, fmt.Errorf("eventlog: unknown event type %q", typ)
-	}
-	p, err := prefix.Parse(data.Prefix)
+	seq, err := d.fields(line, &r.Event)
 	if err != nil {
-		return Record{}, fmt.Errorf("eventlog: %w", err)
+		return Record{}, err
 	}
-	ev.Prefix = p
-	ev.VantagePoint = bgp.ASN(data.VP)
-	if len(data.Path) > 0 {
-		ev.Path = make([]bgp.ASN, len(data.Path))
-		for i, asn := range data.Path {
-			ev.Path[i] = bgp.ASN(asn)
+	r.Seq = seq
+	if n := len(d.path.Values()); n > 0 {
+		r.Event.Path = d.copyPath(make([]bgp.ASN, n))
+	}
+	r.Event.Source, r.Event.Collector = string(d.src), string(d.col)
+	return r, nil
+}
+
+// copyPath fills dst, as long as the decoded path, with it.
+func (d *decoder) copyPath(dst []bgp.ASN) []bgp.ASN {
+	for i, as := range d.path.Values() {
+		dst[i] = bgp.ASN(as)
+	}
+	return dst
+}
+
+// fields reads line into ev, all but its path and strings, which it
+// leaves in d.path, d.src and d.col. A null element or member leaves its
+// field zero, as encoding/json does.
+func (d *decoder) fields(line []byte, ev *feedtypes.Event) (seq uint64, err error) {
+	sc := &d.sc
+	d.path.Reset()
+	d.src, d.col, d.pfx = d.src[:0], d.col[:0], d.pfx[:0]
+	sc.Reset(line)
+	if sc.Peek() != jsonscan.Array {
+		return 0, fmt.Errorf("eventlog: %w", sc.Mismatch("envelope"))
+	}
+	var dirOK, typOK bool
+	var typ feedtypes.Kind
+	var emitted, seen int64
+	var vp uint32
+	sc.Enter()
+	n := 0
+	for ; sc.More(); n++ {
+		if sc.SkipNull() {
+			continue
+		}
+		switch n {
+		case 0: // dir
+			dirOK = string(sc.ReadString()) == "R"
+		case 1: // seq
+			seq = sc.ReadUint(64)
+		case 2: // time
+			emitted = sc.ReadInt()
+		case 3: // type
+			switch string(sc.ReadString()) {
+			case "announce":
+				typ, typOK = feedtypes.Announce, true
+			case "withdraw":
+				typ, typOK = feedtypes.Withdraw, true
+			}
+		case 4: // data
+			if sc.Peek() != jsonscan.Object {
+				sc.Mismatch("envelope data")
+				break
+			}
+			sc.Enter()
+			for sc.More() {
+				switch key := sc.Key(); {
+				case jsonscan.KeyIs(key, "prefix"):
+					if !sc.SkipNull() {
+						d.pfx = append(d.pfx[:0], sc.ReadString()...)
+					}
+				case jsonscan.KeyIs(key, "vp"):
+					if !sc.SkipNull() {
+						vp = uint32(sc.ReadUint(32))
+					}
+				case jsonscan.KeyIs(key, "path"):
+					d.path.Read(sc, "path")
+				default:
+					sc.Skip()
+				}
+			}
+		case 5: // meta
+			if sc.Peek() != jsonscan.Object {
+				sc.Mismatch("envelope meta")
+				break
+			}
+			sc.Enter()
+			for sc.More() {
+				switch key := sc.Key(); {
+				case jsonscan.KeyIs(key, "src"):
+					if !sc.SkipNull() {
+						d.src = append(d.src[:0], sc.ReadString()...)
+					}
+				case jsonscan.KeyIs(key, "col"):
+					if !sc.SkipNull() {
+						d.col = append(d.col[:0], sc.ReadString()...)
+					}
+				case jsonscan.KeyIs(key, "seen"):
+					if !sc.SkipNull() {
+						seen = sc.ReadInt()
+					}
+				default:
+					sc.Skip()
+				}
+			}
+		default:
+			sc.Skip()
 		}
 	}
-	ev.Source = meta.Src
-	ev.Collector = meta.Col
-	ev.SeenAt = time.Duration(meta.Seen)
-	ev.EmittedAt = time.Duration(emitted)
-	return r, nil
+	if err := sc.End(); err != nil {
+		return 0, fmt.Errorf("eventlog: %w", err)
+	}
+	switch {
+	case n != 6:
+		return 0, fmt.Errorf("eventlog: envelope has %d elements, want 6", n)
+	case !dirOK:
+		return 0, fmt.Errorf("eventlog: unknown direction")
+	case !typOK:
+		return 0, fmt.Errorf("eventlog: unknown event type")
+	}
+	p, err := prefix.ParseBytes(d.pfx)
+	if err != nil {
+		return 0, fmt.Errorf("eventlog: %w", err)
+	}
+	*ev = feedtypes.Event{
+		VantagePoint: bgp.ASN(vp),
+		Kind:         typ,
+		Prefix:       p,
+		SeenAt:       time.Duration(seen),
+		EmittedAt:    time.Duration(emitted),
+	}
+	return seq, nil
 }
 
 // Writer encodes events to an io.Writer, assigning a monotonic
@@ -227,6 +295,7 @@ func (w *Writer) WriteEvent(ev feedtypes.Event) error {
 // Reader decodes an envelope stream line by line.
 type Reader struct {
 	s *bufio.Scanner
+	d decoder
 }
 
 // NewReader wraps r. Lines beyond MaxLineLen are an error.
@@ -236,18 +305,39 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{s: s}
 }
 
-// Next returns the next record, or io.EOF at a clean end of stream.
-// Blank lines are skipped so concatenated segment files read cleanly.
+// Next returns the next record, or io.EOF at a clean end of stream. The
+// record owns its path and strings. Blank lines are skipped so
+// concatenated segment files read cleanly.
 func (r *Reader) Next() (Record, error) {
-	for r.s.Scan() {
-		line := r.s.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		return ParseRecord(line)
-	}
-	if err := r.s.Err(); err != nil {
+	line, err := r.line()
+	if err != nil {
 		return Record{}, err
 	}
-	return Record{}, io.EOF
+	return r.d.record(line)
+}
+
+// NextInto appends the next record's event to b and returns its sequence
+// number, or io.EOF at a clean end of stream. The event's path lives in
+// b's arena and its source and collector names are shared with earlier
+// events, so once b has grown this allocates nothing; the event is valid
+// as long as b's events are.
+func (r *Reader) NextInto(b *feedtypes.Batch) (uint64, error) {
+	line, err := r.line()
+	if err != nil {
+		return 0, err
+	}
+	return r.d.batch(line, b)
+}
+
+// line returns the next non-blank line.
+func (r *Reader) line() ([]byte, error) {
+	for r.s.Scan() {
+		if line := r.s.Bytes(); len(line) > 0 {
+			return line, nil
+		}
+	}
+	if err := r.s.Err(); err != nil {
+		return nil, err
+	}
+	return nil, io.EOF
 }

@@ -192,6 +192,35 @@ func clearEvents(evs []Event) {
 	}
 }
 
+// maxInterned bounds an Interner's table: a feed names a handful of
+// collectors, and a hostile one naming a new collector per message must
+// not grow a decoder without limit.
+const maxInterned = 1024
+
+// Interner hands out one shared string per distinct byte string, so a
+// decoder that reads the same collector or source name on every message
+// allocates it once. The zero value is ready to use; an Interner is not
+// safe for concurrent use.
+type Interner struct {
+	m map[string]string
+}
+
+// Intern returns b as a string, shared with earlier calls for the same
+// bytes while the table has room.
+func (in *Interner) Intern(b []byte) string {
+	if s, ok := in.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if in.m == nil {
+		in.m = make(map[string]string)
+	}
+	if len(in.m) < maxInterned {
+		in.m[s] = s
+	}
+	return s
+}
+
 // CopyEvents deep-copies a published batch — events and their Path
 // slices — into a caller-owned slice, reusing dst's backing array when
 // it is large enough. It is the escape hatch for consumers that must

@@ -2,6 +2,7 @@ package ris
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -127,7 +128,7 @@ func TestBatchCoalescesMultipleChanges(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	ev := feedtypes.Event{
+	for _, ev := range []feedtypes.Event{{
 		Source:       SourceName,
 		Collector:    "rrc01",
 		VantagePoint: 65001,
@@ -136,18 +137,22 @@ func TestWireRoundTrip(t *testing.T) {
 		Path:         []bgp.ASN{65001, 65002, 196615},
 		SeenAt:       42 * time.Second,
 		EmittedAt:    47 * time.Second,
-	}
-	got, err := wireToEvent(eventToWire(ev))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Collector != ev.Collector || got.VantagePoint != ev.VantagePoint ||
-		got.Prefix != ev.Prefix || got.SeenAt != ev.SeenAt || got.EmittedAt != ev.EmittedAt {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, ev)
-	}
-	for i := range ev.Path {
-		if got.Path[i] != ev.Path[i] {
-			t.Fatalf("path mismatch: %v vs %v", got.Path, ev.Path)
+	}, {
+		Source:       SourceName,
+		Collector:    "rrc\"\n00ö",
+		VantagePoint: 4200000000,
+		Kind:         feedtypes.Withdraw,
+		Prefix:       prefix.MustParse("2001:db8::/32"),
+		SeenAt:       1500 * time.Millisecond,
+		EmittedAt:    2 * time.Second,
+	}} {
+		var d decoder
+		var b feedtypes.Batch
+		if err := d.decode(AppendMessage(nil, ev), &b); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(b.Events, []feedtypes.Event{ev}) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", b.Events, ev)
 		}
 	}
 }

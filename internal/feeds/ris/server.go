@@ -48,24 +48,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ws.Close()
 		return
 	}
-	var env wireEnvelope
-	if err := json.Unmarshal(raw, &env); err != nil {
+	var sub subscribeMsg
+	if err := json.Unmarshal(raw, &sub); err != nil {
 		ws.Close()
 		return
 	}
-	filter, err := wireToFilter(env)
+	filter, err := wireToFilter(sub)
 	if err != nil {
 		ws.Close()
 		return
 	}
 	cc := &clientConn{ws: ws, out: make(chan []byte, clientBuffer)}
 	cc.cancel = s.svc.Subscribe(filter, func(ev feedtypes.Event) {
-		b, err := json.Marshal(eventToWire(ev))
-		if err != nil {
-			return
-		}
 		select {
-		case cc.out <- b:
+		case cc.out <- AppendMessage(nil, ev):
 		default:
 			// Client too slow; drop it. Closing the socket makes the
 			// writer loop exit and unsubscribe.

@@ -13,7 +13,7 @@ import (
 
 // maxRecvBatch caps how many buffered stream events are coalesced into
 // one batch when a feed runs hot — the same bound the daemon's old pump
-// loop used.
+// loop used, and the one ris.Conn applies.
 const maxRecvBatch = 256
 
 // FilterFunc supplies a subscription filter. Dialers call it on every
@@ -28,10 +28,10 @@ func StaticFilter(f feedtypes.Filter) FilterFunc {
 }
 
 // RISDialer returns a Dialer for a RIS-style websocket endpoint
-// (ws://host:port/v1/ws). The per-event stream is coalesced into batches:
-// one event minimum, then whatever the client has already buffered, so a
-// quiet feed stays low-latency and a busy one amortizes per-delivery
-// cost.
+// (ws://host:port/v1/ws). Its connections decode on the supervisor's
+// reader goroutine: each Recv returns one message, then every further
+// message already buffered whole, so a quiet feed stays low-latency and a
+// busy one amortizes per-delivery cost.
 func RISDialer(url string, f feedtypes.Filter) Dialer {
 	return RISDialerDynamic(url, StaticFilter(f))
 }
@@ -42,16 +42,17 @@ func RISDialer(url string, f feedtypes.Filter) Dialer {
 // Supervisor.Bounce forces one.
 func RISDialerDynamic(url string, f FilterFunc) Dialer {
 	return DialFunc(func() (Conn, error) {
-		cli, err := ris.DialClient(url, f())
+		c, err := ris.Dial(url, f())
 		if err != nil {
 			return nil, err
 		}
-		return &chanConn{events: cli.Events(), close: cli.Close, err: cli.Err}, nil
+		return c, nil
 	})
 }
 
 // BGPmonDialer returns a Dialer for a BGPmon-style XML TCP stream
-// (host:port), batched like RISDialer.
+// (host:port). Its per-event stream is coalesced into batches: one event
+// minimum, then whatever the client has already buffered.
 func BGPmonDialer(addr string, f feedtypes.Filter) Dialer {
 	return BGPmonDialerDynamic(addr, StaticFilter(f))
 }
@@ -69,8 +70,8 @@ func BGPmonDialerDynamic(addr string, f FilterFunc) Dialer {
 	})
 }
 
-// chanConn adapts a per-event channel client (the RIS/BGPmon network
-// clients) to the batch Conn interface. The batch buffer is reused
+// chanConn adapts a per-event channel client (the BGPmon network client)
+// to the batch Conn interface. The batch buffer is reused
 // across Recv calls — allowed by Conn's contract, since the supervisor
 // copies each batch into pooled storage before queueing — so a hot feed
 // coalesces events with zero allocations per delivery.

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"artemis/internal/bgp"
 	"artemis/internal/feeds/eventlog"
 	"artemis/internal/feeds/feedtypes"
 )
@@ -80,57 +81,57 @@ type evlogConn struct {
 	start   time.Time
 
 	// pending holds a record read ahead of its due time, returned with
-	// the next batch.
+	// the next batch. Its path lives in pendingPath, not in batch's
+	// arena, which the next Recv resets before pending is delivered.
 	pending     feedtypes.Event
+	pendingPath []bgp.ASN
 	havePending bool
 
-	// buf is the reused per-Recv batch (Conn contract: valid until the
-	// next Recv).
-	buf []feedtypes.Event
+	// batch is the reused per-Recv batch (Conn contract: valid until the
+	// next Recv); records are decoded straight into it.
+	batch feedtypes.Batch
 }
 
 func (c *evlogConn) Recv() ([]feedtypes.Event, error) {
-	batch := c.buf[:0]
+	b := &c.batch
+	b.Reset()
 	for {
-		var ev feedtypes.Event
 		if c.havePending {
-			ev, c.havePending = c.pending, false
-		} else {
-			rec, err := c.r.Next()
-			if err == io.EOF {
-				if len(batch) > 0 {
-					c.buf = batch
-					return batch, nil
-				}
-				return nil, ErrDone
+			c.havePending = false
+			b.AppendCopy(c.pending)
+		} else if _, err := c.r.NextInto(b); err == io.EOF {
+			if len(b.Events) > 0 {
+				return b.Events, nil
 			}
-			if err != nil {
-				return nil, err
-			}
-			ev = rec.Event
+			return nil, ErrDone
+		} else if err != nil {
+			return nil, err
 		}
+		ev := &b.Events[len(b.Events)-1]
 		if c.speed > 0 {
 			if !c.started {
 				c.started, c.base, c.start = true, ev.EmittedAt, time.Now()
 			}
 			wait := time.Duration(float64(ev.EmittedAt-c.base)/c.speed) - time.Since(c.start)
 			if wait > 0 {
-				if len(batch) > 0 {
+				if len(b.Events) > 1 {
 					// Deliver what is due; the read-ahead record waits for
 					// its own time on the next Recv.
-					c.pending, c.havePending = ev, true
-					c.buf = batch
-					return batch, nil
+					c.pending, c.havePending = *ev, true
+					if len(ev.Path) > 0 {
+						c.pendingPath = append(c.pendingPath[:0], ev.Path...)
+						c.pending.Path = c.pendingPath
+					}
+					b.Events = b.Events[:len(b.Events)-1]
+					return b.Events, nil
 				}
 				if !c.sleep(wait) {
 					return nil, errors.New("eventlog: replay closed")
 				}
 			}
 		}
-		batch = append(batch, ev)
-		if len(batch) >= maxRecvBatch {
-			c.buf = batch
-			return batch, nil
+		if len(b.Events) >= maxRecvBatch {
+			return b.Events, nil
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package ingest_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -134,5 +136,99 @@ func TestDialConnMayReuseRecvBuffer(t *testing.T) {
 		if e.Prefix != want {
 			t.Fatalf("event %d out of order or corrupted: got %s want %s", i, e.Prefix, want)
 		}
+	}
+}
+
+// poisonConn wraps a real Conn and, before every Recv, smashes the batch
+// it returned last — events and the paths they point to — in place. A
+// supervisor that queued that batch by reference instead of copying it
+// then delivers sentinels.
+type poisonConn struct {
+	ingest.Conn
+	last []feedtypes.Event
+}
+
+func (c *poisonConn) Recv() ([]feedtypes.Event, error) {
+	for i := range c.last {
+		for j := range c.last[i].Path {
+			c.last[i].Path[j] = feedtypes.PoisonASN
+		}
+		c.last[i] = feedtypes.Event{Source: "poisoned", Prefix: feedtypes.PoisonPrefix}
+	}
+	batch, err := c.Conn.Recv()
+	c.last = batch
+	return batch, err
+}
+
+func poisoning(d ingest.Dialer) ingest.Dialer {
+	return ingest.DialFunc(func() (ingest.Conn, error) {
+		c, err := d.Dial()
+		if err != nil {
+			return nil, err
+		}
+		return &poisonConn{Conn: c}, nil
+	})
+}
+
+// checkDelivered fails unless got is want, event for event, paths
+// included.
+func checkDelivered(t *testing.T, got, want []feedtypes.Event) {
+	t.Helper()
+	checkNotPoisoned(t, got)
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Prefix != want[i].Prefix || got[i].SeenAt != want[i].SeenAt ||
+			fmt.Sprint(got[i].Path) != fmt.Sprint(want[i].Path) {
+			t.Fatalf("event %d = %v %v, want %v %v", i, got[i].Prefix, got[i].Path, want[i].Prefix, want[i].Path)
+		}
+	}
+}
+
+// TestRISConnBatchIsCopiedIn: the RIS connection decodes into one reused
+// batch; the supervisor must copy each batch in before the next Recv
+// reuses it, with a queue short enough that the forwarder lags.
+func TestRISConnBatchIsCopiedIn(t *testing.T) {
+	evs := risEvents(3000)
+	var got collector
+	sup := ingest.New(got.deliver, ingest.Config{QueueDepth: 2, DedupTTL: -1})
+	sup.AddDialer("ris", poisoning(ingest.RISDialer(risLoopback(t, risFrames(evs)), feedtypes.Filter{})), ingest.Blocking())
+	waitFor(t, "every event delivered", func() bool { return got.count() >= len(evs) })
+	sup.Close()
+	checkDelivered(t, got.all(), evs)
+}
+
+// TestEventLogPendingSurvivesArenaReset: a paced replay reads one record
+// ahead and holds it, not yet due, into the next Recv — which resets the
+// batch arena the record was decoded into before delivering it. The
+// held record's path must come through intact.
+func TestEventLogPendingSurvivesArenaReset(t *testing.T) {
+	const groups, perGroup = 25, 4
+	var evs []feedtypes.Event
+	for g := 0; g < groups; g++ {
+		for i := 0; i < perGroup; i++ {
+			n := g*perGroup + i
+			path := []bgp.ASN{100, 200, 300, 400, 500, 600}[:1+n%6]
+			evs = append(evs, feedtypes.Event{
+				Source: "bmp", Collector: "rtr", VantagePoint: 100, Kind: feedtypes.Announce,
+				Prefix:    prefix.MustParse(fmt.Sprintf("10.%d.%d.0/24", g, i)),
+				Path:      append(path, bgp.ASN(60000+n)),
+				SeenAt:    time.Duration(n) * time.Microsecond,
+				EmittedAt: time.Duration(g) * 4 * time.Millisecond, // a group is due together
+			})
+		}
+	}
+	data := evlogArchive(t, evs)
+	open := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
+
+	var got collector
+	sup := ingest.New(got.deliver, ingest.Config{DedupTTL: -1})
+	sup.AddDialer("replay", poisoning(ingest.EventLogReplayDialer(open, ingest.EventLogReplay{Speed: 1})), ingest.Blocking())
+	sup.Wait()
+	sup.Close()
+	checkDelivered(t, got.all(), evs)
+	if b := sup.Snapshot().Sources[0].Batches; b < groups {
+		t.Fatalf("%d batches for %d paced groups: the replay never held a record back", b, groups)
 	}
 }

@@ -46,19 +46,25 @@ func FuzzParseAddr(f *testing.F) {
 	})
 }
 
-// FuzzParsePrefix: anything Parse accepts must have no host bits, a length
+// FuzzParsePrefix: ParseBytes agrees with Parse on every input, value and
+// error alike; anything Parse accepts must have no host bits, a length
 // within the family bound, and round-trip through String exactly.
 func FuzzParsePrefix(f *testing.F) {
 	for _, s := range []string{
 		"0.0.0.0/0", "10.0.0.0/23", "255.255.255.255/32", "10.0.0.1/23",
 		"::/0", "2001:db8::/32", "::1/128", "2001:db8::/129", "2001:db8::1/32",
 		"::ffff:a00:0/112", "1:2:3:4:5:6:7:8/128", "2001:db8:0:0:8000::/65",
-		"10.0.0.0", "10.0.0.0/x", "/24", "::/",
+		"10.0.0.0", "10.0.0.0/x", "/24", "::/", "1.2.3.4.5/8", "010.0.0.0/8",
+		"10.0.0.0/08", "1::2::3/64", "1:2:3:4:5:6:7:8:9/128", "::1.2.3.4/128",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := Parse(s)
+		pb, errb := ParseBytes([]byte(s))
+		if pb != p || (err == nil) != (errb == nil) || err != nil && err.Error() != errb.Error() {
+			t.Fatalf("ParseBytes(%q) = %v, %v; Parse = %v, %v", s, pb, errb, p, err)
+		}
 		if err != nil {
 			return
 		}

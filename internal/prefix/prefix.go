@@ -225,125 +225,234 @@ func (a Addr) addrAdd(delta uint64, shift uint) Addr {
 	return Addr{hi: hi, lo: lo, is6: true}
 }
 
+// text is what the parsers read: Parse and ParseAddr hand them a string,
+// ParseBytes a byte slice, and one generic body serves both, so decoding a
+// prefix out of a wire buffer copies nothing unless it fails.
+type text interface{ ~string | ~[]byte }
+
+// parseErr classifies a parse failure. The parsers return it instead of
+// an error so that only the exported wrappers, on the failure path, copy
+// the text into a message.
+type parseErr uint8
+
+const (
+	parseOK parseErr = iota
+	errNoSlash
+	errAddr4
+	errAddr6
+	errLength
+	errHostBits
+)
+
+// addrError is the error for a failed address parse of s.
+func addrError(e parseErr, s string) error {
+	if e == errAddr6 {
+		return fmt.Errorf("prefix: invalid IPv6 address %q", s)
+	}
+	return fmt.Errorf("prefix: invalid IPv4 address %q", s)
+}
+
+// prefixError is the error for a failed prefix parse of s.
+func prefixError(e parseErr, s string) error {
+	switch e {
+	case errNoSlash:
+		return fmt.Errorf("prefix: missing '/' in %q", s)
+	case errAddr4, errAddr6:
+		return addrError(e, s[:strings.IndexByte(s, '/')])
+	case errLength:
+		return fmt.Errorf("prefix: invalid length in %q", s)
+	}
+	return fmt.Errorf("prefix: host bits set in %q", s)
+}
+
+func indexByte[T text](s T, c byte) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// indexGap returns the index of the first "::" in s, or -1.
+func indexGap[T text](s T) int {
+	for i := 0; i+1 < len(s); i++ {
+		if s[i] == ':' && s[i+1] == ':' {
+			return i
+		}
+	}
+	return -1
+}
+
+// parseDec parses a decimal of one or more digits no greater than max.
+func parseDec[T text](s T, max int) (int, bool) {
+	if len(s) == 0 {
+		return 0, false
+	}
+	v := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if v = v*10 + int(c-'0'); v > max {
+			return 0, false
+		}
+	}
+	return v, true
+}
+
+// parseHex16 parses one to four hex digits.
+func parseHex16[T text](s T) (uint16, bool) {
+	if len(s) == 0 || len(s) > 4 {
+		return 0, false
+	}
+	var v uint16
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= '0' && c <= '9':
+			c -= '0'
+		case c >= 'a' && c <= 'f':
+			c -= 'a' - 10
+		case c >= 'A' && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		v = v<<4 | uint16(c)
+	}
+	return v, true
+}
+
 // ParseAddr parses a textual IP address: dotted-quad IPv4, or RFC 4291
 // IPv6 (hex groups, at most one "::" compression, optional embedded
 // dotted-quad tail). The family of the text determines the family of the
 // result; ::ffff:a.b.c.d stays IPv6 (see the package comment).
 func ParseAddr(s string) (Addr, error) {
-	if strings.IndexByte(s, ':') >= 0 {
-		return parseAddr6(s)
+	a, e := parseAddr(s)
+	if e != parseOK {
+		return Addr{}, addrError(e, s)
 	}
-	v, err := parseAddr4(s)
-	if err != nil {
-		return Addr{}, err
-	}
-	return AddrFrom4(v), nil
+	return a, nil
 }
 
-func parseAddr4(s string) (uint32, error) {
-	var parts [4]uint64
+func parseAddr[T text](s T) (Addr, parseErr) {
+	if indexByte(s, ':') >= 0 {
+		a, ok := parseAddr6(s)
+		if !ok {
+			return Addr{}, errAddr6
+		}
+		return a, parseOK
+	}
+	v, ok := parseAddr4(s)
+	if !ok {
+		return Addr{}, errAddr4
+	}
+	return AddrFrom4(v), parseOK
+}
+
+func parseAddr4[T text](s T) (uint32, bool) {
+	var v uint32
 	rest := s
 	for i := 0; i < 4; i++ {
-		var tok string
+		tok := rest
 		if i < 3 {
-			dot := strings.IndexByte(rest, '.')
+			dot := indexByte(rest, '.')
 			if dot < 0 {
-				return 0, fmt.Errorf("prefix: invalid IPv4 address %q", s)
+				return 0, false
 			}
 			tok, rest = rest[:dot], rest[dot+1:]
-		} else {
-			tok = rest
 		}
 		// Reject leading zeros: inet_aton-style parsers read "010" as
 		// octal 8, so accepting it as decimal 10 would guard the wrong
 		// owned space on such a config. net/netip rejects these too.
 		if len(tok) > 1 && tok[0] == '0' {
-			return 0, fmt.Errorf("prefix: invalid IPv4 address %q", s)
+			return 0, false
 		}
-		v, err := strconv.ParseUint(tok, 10, 8)
-		if err != nil {
-			return 0, fmt.Errorf("prefix: invalid IPv4 address %q", s)
+		octet, ok := parseDec(tok, 255)
+		if !ok {
+			return 0, false
 		}
-		parts[i] = v
+		v = v<<8 | uint32(octet)
 	}
-	return uint32(parts[0]<<24 | parts[1]<<16 | parts[2]<<8 | parts[3]), nil
+	return v, true
 }
 
-func parseAddr6(s string) (Addr, error) {
-	bad := func() (Addr, error) { return Addr{}, fmt.Errorf("prefix: invalid IPv6 address %q", s) }
-	if s == "" {
-		return bad()
+// groups parses the colon-separated 16-bit groups of one side of an IPv6
+// address's "::" into out, returning how many it wrote. A dotted-quad
+// last group, allowed when v4Tail is set, counts as two. More than eight
+// groups is an error: no valid address has them.
+func groups[T text](part T, v4Tail bool, out *[8]uint16) (int, bool) {
+	if len(part) == 0 {
+		return 0, true
+	}
+	n := 0
+	for {
+		tok, last := part, true
+		if colon := indexByte(part, ':'); colon >= 0 {
+			tok, part, last = part[:colon], part[colon+1:], false
+		}
+		if len(tok) == 0 {
+			return 0, false
+		}
+		if v4Tail && last && indexByte(tok, '.') >= 0 {
+			v4, ok := parseAddr4(tok)
+			if !ok || n+2 > len(out) {
+				return 0, false
+			}
+			out[n], out[n+1] = uint16(v4>>16), uint16(v4)
+			n += 2
+		} else {
+			w, ok := parseHex16(tok)
+			if !ok || n+1 > len(out) {
+				return 0, false
+			}
+			out[n] = w
+			n++
+		}
+		if last {
+			return n, true
+		}
+	}
+}
+
+func parseAddr6[T text](s T) (Addr, bool) {
+	if len(s) == 0 {
+		return Addr{}, false
 	}
 	// Split around at most one "::".
-	var head, tail string
-	gap := strings.Index(s, "::")
+	head, tail := s, s[:0]
+	gap := indexGap(s)
 	if gap >= 0 {
 		head, tail = s[:gap], s[gap+2:]
-		if strings.Contains(tail, "::") {
-			return bad()
+		if indexGap(tail) >= 0 {
+			return Addr{}, false
 		}
-	} else {
-		head = s
 	}
-	// groups holds the 16-bit words of each side; a trailing dotted quad
-	// counts as two words.
-	split := func(part string, allowV4Tail bool) ([]uint16, error) {
-		if part == "" {
-			return nil, nil
-		}
-		toks := strings.Split(part, ":")
-		var out []uint16
-		for i, tok := range toks {
-			if tok == "" {
-				return nil, fmt.Errorf("empty group")
-			}
-			if allowV4Tail && i == len(toks)-1 && strings.IndexByte(tok, '.') >= 0 {
-				v4, err := parseAddr4(tok)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, uint16(v4>>16), uint16(v4))
-				continue
-			}
-			if len(tok) > 4 {
-				return nil, fmt.Errorf("group too long")
-			}
-			v, err := strconv.ParseUint(tok, 16, 16)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, uint16(v))
-		}
-		return out, nil
+	var words, tw [8]uint16
+	nh, ok := groups(head, gap < 0, &words) // a v4 tail in head is only valid with no "::" after it
+	if !ok {
+		return Addr{}, false
 	}
-	hw, err := split(head, gap < 0) // a v4 tail in head is only valid with no "::" after it
-	if err != nil {
-		return bad()
-	}
-	tw, err := split(tail, true)
-	if err != nil {
-		return bad()
-	}
-	var words [8]uint16
 	if gap < 0 {
-		if len(hw) != 8 {
-			return bad()
+		if nh != 8 {
+			return Addr{}, false
 		}
-		copy(words[:], hw)
 	} else {
+		nt, ok := groups(tail, true, &tw)
 		// "::" must stand for at least one zero group.
-		if len(hw)+len(tw) >= 8 {
-			return bad()
+		if !ok || nh+nt >= 8 {
+			return Addr{}, false
 		}
-		copy(words[:], hw)
-		copy(words[8-len(tw):], tw)
+		copy(words[8-nt:], tw[:nt])
 	}
 	var hi, lo uint64
 	for i := 0; i < 4; i++ {
 		hi = hi<<16 | uint64(words[i])
 		lo = lo<<16 | uint64(words[4+i])
 	}
-	return AddrFrom16(hi, lo), nil
+	return AddrFrom16(hi, lo), true
 }
 
 // MustParseAddr is ParseAddr that panics on error; for tests and constants.
@@ -437,29 +546,47 @@ func New(addr Addr, bits int) Prefix {
 // Parse parses "addr/len" CIDR notation of either family. Host bits set
 // beyond the mask are an error (BGP NLRI never carries them).
 func Parse(s string) (Prefix, error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return Prefix{}, fmt.Errorf("prefix: missing '/' in %q", s)
+	p, e := parsePrefix(s)
+	if e != parseOK {
+		return Prefix{}, prefixError(e, s)
 	}
-	addr, err := ParseAddr(s[:slash])
-	if err != nil {
-		return Prefix{}, err
+	return p, nil
+}
+
+// ParseBytes is Parse on a byte slice, for decoders reading a prefix out
+// of a wire buffer: it accepts exactly what Parse accepts and copies the
+// text only into an error.
+func ParseBytes(b []byte) (Prefix, error) {
+	p, e := parsePrefix(b)
+	if e != parseOK {
+		return Prefix{}, prefixError(e, string(b))
+	}
+	return p, nil
+}
+
+func parsePrefix[T text](s T) (Prefix, parseErr) {
+	slash := indexByte(s, '/')
+	if slash < 0 {
+		return Prefix{}, errNoSlash
+	}
+	addr, e := parseAddr(s[:slash])
+	if e != parseOK {
+		return Prefix{}, e
 	}
 	lenTok := s[slash+1:]
-	// ParseUint rejects signs; leading zeros ("/08") are rejected here so
-	// every valid prefix has exactly one textual form.
+	// Signs are not digits; leading zeros ("/08") are rejected so every
+	// valid prefix has exactly one textual form.
 	if len(lenTok) > 1 && lenTok[0] == '0' {
-		return Prefix{}, fmt.Errorf("prefix: invalid length in %q", s)
+		return Prefix{}, errLength
 	}
-	bits64, err := strconv.ParseUint(lenTok, 10, 8)
-	if err != nil || int(bits64) > addr.MaxBits() {
-		return Prefix{}, fmt.Errorf("prefix: invalid length in %q", s)
+	bits, ok := parseDec(lenTok, addr.MaxBits())
+	if !ok {
+		return Prefix{}, errLength
 	}
-	bits := int(bits64)
 	if addr != addr.mask(bits) {
-		return Prefix{}, fmt.Errorf("prefix: host bits set in %q", s)
+		return Prefix{}, errHostBits
 	}
-	return Prefix{addr: addr, bits: uint8(bits)}, nil
+	return Prefix{addr: addr, bits: uint8(bits)}, parseOK
 }
 
 // MustParse is Parse that panics on error; for tests and table literals.

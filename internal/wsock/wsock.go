@@ -7,6 +7,9 @@
 //
 // Frames from the client are masked as the RFC requires; server frames are
 // not. Control frames interleaved with fragmented messages are handled.
+//
+// A Conn reads each frame into a buffer it reuses, so a message returned
+// by ReadMessage is valid only until the next read on that Conn.
 package wsock
 
 import (
@@ -41,6 +44,14 @@ const (
 // generous 4 MiB cap protects against a corrupt or hostile length field.
 const maxMessageLen = 4 << 20
 
+// maxControlLen bounds a control frame's payload (RFC 6455 §5.5).
+const maxControlLen = 125
+
+// clientReadBuffer sizes a client's read buffer. A feed's messages are a
+// few hundred bytes, so one read syscall takes in a whole burst of them,
+// and MessageBuffered can then report each as already there.
+const clientReadBuffer = 64 << 10
+
 // ErrClosed is returned by Read/Write after the connection is closed,
 // locally or by the peer.
 var ErrClosed = errors.New("wsock: connection closed")
@@ -51,6 +62,12 @@ type Conn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	client bool // true when we are the client (must mask writes)
+
+	// hdr receives frame headers; frame holds the last frame read and
+	// msg the last reassembled fragmented message. All are reused by the
+	// next read.
+	hdr        [8]byte
+	frame, msg []byte
 
 	wmu    sync.Mutex
 	closed bool
@@ -140,7 +157,7 @@ func ClientHandshake(conn net.Conn, host, path string) (*Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, clientReadBuffer)
 	status, err := br.ReadString('\n')
 	if err != nil {
 		conn.Close()
@@ -226,12 +243,12 @@ func (c *Conn) writeFrame(opcode byte, payload []byte, fin bool) error {
 
 // ReadMessage reads the next complete data message, transparently handling
 // fragmentation and responding to pings. It returns the opcode (OpText or
-// OpBinary) and the reassembled payload. When the peer sends a close frame
-// the method echoes it and returns ErrClosed.
+// OpBinary) and the reassembled payload, which is valid until the next
+// read on c. When the peer sends a close frame the method echoes it and
+// returns ErrClosed.
 func (c *Conn) ReadMessage() (byte, []byte, error) {
 	var (
 		msgOp  byte
-		buf    []byte
 		inFrag bool
 	)
 	for {
@@ -257,17 +274,19 @@ func (c *Conn) ReadMessage() (byte, []byte, error) {
 			if fin {
 				return op, payload, nil
 			}
-			msgOp, buf, inFrag = op, append([]byte(nil), payload...), true
+			// The frame buffer is reused by the next read, so fragments are
+			// copied out of it as they arrive.
+			msgOp, c.msg, inFrag = op, append(c.msg[:0], payload...), true
 		case opContinuation:
 			if !inFrag {
 				return 0, nil, fmt.Errorf("wsock: continuation without start frame")
 			}
-			if len(buf)+len(payload) > maxMessageLen {
+			if len(c.msg)+len(payload) > maxMessageLen {
 				return 0, nil, fmt.Errorf("wsock: message exceeds %d bytes", maxMessageLen)
 			}
-			buf = append(buf, payload...)
+			c.msg = append(c.msg, payload...)
 			if fin {
-				return msgOp, buf, nil
+				return msgOp, c.msg, nil
 			}
 		default:
 			return 0, nil, fmt.Errorf("wsock: unknown opcode %#x", op)
@@ -275,9 +294,42 @@ func (c *Conn) ReadMessage() (byte, []byte, error) {
 	}
 }
 
+// MessageBuffered reports whether a whole unfragmented data message is
+// already buffered, so that the next ReadMessage returns it without
+// waiting on the network.
+func (c *Conn) MessageBuffered() bool {
+	n := c.br.Buffered()
+	if n < 2 {
+		return false
+	}
+	h, _ := c.br.Peek(min(n, 14)) // cannot block: n bytes are buffered
+	if h[0] != 0x80|OpText && h[0] != 0x80|OpBinary {
+		return false
+	}
+	head, length := 2, uint64(h[1]&0x7f)
+	switch length {
+	case 126:
+		if head = 4; len(h) < head {
+			return false
+		}
+		length = uint64(binary.BigEndian.Uint16(h[2:4]))
+	case 127:
+		if head = 10; len(h) < head {
+			return false
+		}
+		length = binary.BigEndian.Uint64(h[2:10])
+	}
+	if h[1]&0x80 != 0 {
+		head += 4 // masking key
+	}
+	return uint64(n-head) >= length
+}
+
+// readFrame reads the next frame. The payload is c.frame, valid until the
+// next readFrame.
 func (c *Conn) readFrame() (fin bool, op byte, payload []byte, err error) {
-	var h [2]byte
-	if _, err = io.ReadFull(c.br, h[:]); err != nil {
+	h := c.hdr[:2]
+	if _, err = io.ReadFull(c.br, h); err != nil {
 		return false, 0, nil, err
 	}
 	fin = h[0]&0x80 != 0
@@ -289,28 +341,35 @@ func (c *Conn) readFrame() (fin bool, op byte, payload []byte, err error) {
 	length := uint64(h[1] & 0x7f)
 	switch length {
 	case 126:
-		var ext [2]byte
-		if _, err = io.ReadFull(c.br, ext[:]); err != nil {
+		if _, err = io.ReadFull(c.br, c.hdr[:2]); err != nil {
 			return false, 0, nil, err
 		}
-		length = uint64(binary.BigEndian.Uint16(ext[:]))
+		length = uint64(binary.BigEndian.Uint16(c.hdr[:2]))
 	case 127:
-		var ext [8]byte
-		if _, err = io.ReadFull(c.br, ext[:]); err != nil {
+		if _, err = io.ReadFull(c.br, c.hdr[:8]); err != nil {
 			return false, 0, nil, err
 		}
-		length = binary.BigEndian.Uint64(ext[:])
+		length = binary.BigEndian.Uint64(c.hdr[:8])
 	}
 	if length > maxMessageLen {
 		return false, 0, nil, fmt.Errorf("wsock: frame length %d exceeds cap", length)
 	}
+	// Control frames may not be fragmented and carry at most 125 bytes
+	// (RFC 6455 §5.5); a peer's oversized ping is not echoed back.
+	if op&0x8 != 0 && (!fin || length > maxControlLen) {
+		return false, 0, nil, fmt.Errorf("wsock: invalid control frame (opcode %#x, fin %v, %d bytes)", op, fin, length)
+	}
 	var mask [4]byte
 	if masked {
-		if _, err = io.ReadFull(c.br, mask[:]); err != nil {
+		if _, err = io.ReadFull(c.br, c.hdr[:4]); err != nil {
 			return false, 0, nil, err
 		}
+		copy(mask[:], c.hdr[:4])
 	}
-	payload = make([]byte, length)
+	if uint64(cap(c.frame)) < length {
+		c.frame = make([]byte, max(length, min(2*uint64(cap(c.frame)), maxMessageLen), 512))
+	}
+	payload = c.frame[:length]
 	if _, err = io.ReadFull(c.br, payload); err != nil {
 		return false, 0, nil, err
 	}
@@ -324,7 +383,7 @@ func (c *Conn) readFrame() (fin bool, op byte, payload []byte, err error) {
 
 // Ping sends a ping frame with the given payload (max 125 bytes).
 func (c *Conn) Ping(payload []byte) error {
-	if len(payload) > 125 {
+	if len(payload) > maxControlLen {
 		return fmt.Errorf("wsock: control payload too long")
 	}
 	return c.writeFrame(opPing, payload, true)

@@ -246,20 +246,110 @@ func TestInterleavedControlDuringFragments(t *testing.T) {
 	}
 }
 
+// TestFragmentsSurvivePingInFrameBuffer: the frame buffer is reused by
+// every read, so a ping arriving between fragments overwrites the bytes
+// of the fragment before it. Reassembly must already have copied them
+// out, and the pong must echo the ping, not the fragment.
+func TestFragmentsSurvivePingInFrameBuffer(t *testing.T) {
+	cli, srv := pipeConns(t)
+	first := bytes.Repeat([]byte("x"), 200)
+	srv.writeFrame(OpBinary, first, false)
+	srv.writeFrame(opPing, []byte("ping!"), true)
+	srv.writeFrame(opContinuation, []byte("tail"), true)
+	srv.writeFrame(OpText, []byte("next"), true)
+	op, got, err := cli.ReadMessage()
+	if err != nil || op != OpBinary || string(got) != string(first)+"tail" {
+		t.Fatalf("reassembled op=%d %q err=%v", op, got, err)
+	}
+	// The client answered the ping while reading; the server sees the pong.
+	fin, op, payload, err := srv.readFrame()
+	if err != nil || !fin || op != opPong || string(payload) != "ping!" {
+		t.Fatalf("pong = fin %v op %#x %q err %v", fin, op, payload, err)
+	}
+	if _, got, err := cli.ReadMessage(); err != nil || string(got) != "next" {
+		t.Fatalf("message after the fragmented one = %q err=%v", got, err)
+	}
+}
+
+// TestMessageBuffered: a whole data frame already read off the socket is
+// reported as buffered; a partial one, a control frame, or the first
+// fragment of a message is not, since reading it could wait on the peer.
+func TestMessageBuffered(t *testing.T) {
+	cli, srv := pipeConns(t)
+	for _, size := range []int{3, 200, 70000} {
+		srv.WriteMessage(OpText, bytes.Repeat([]byte{'m'}, size))
+	}
+	srv.writeFrame(opPing, []byte("p"), true)
+	srv.WriteMessage(OpText, []byte("after ping"))
+	srv.writeFrame(OpText, []byte("frag"), false)
+	if cli.MessageBuffered() {
+		t.Fatal("buffered before any read")
+	}
+	read := func(want int) {
+		t.Helper()
+		if _, got, err := cli.ReadMessage(); err != nil || len(got) != want {
+			t.Fatalf("read %d bytes err=%v, want %d", len(got), err, want)
+		}
+	}
+	// Peek(n) waits until the read buffer holds n bytes.
+	read(3)
+	cli.br.Peek(4 + 200) // extended header + payload
+	if !cli.MessageBuffered() {
+		t.Fatal("whole 200-byte message not reported buffered")
+	}
+	read(200)
+	read(70000) // larger than the read buffer: never buffered whole
+	cli.br.Peek(2 + 1)
+	if cli.MessageBuffered() {
+		t.Fatal("ping reported as a buffered data message")
+	}
+	read(len("after ping"))
+	cli.br.Peek(2 + 4)
+	if cli.MessageBuffered() {
+		t.Fatal("first fragment reported as a whole message")
+	}
+}
+
 func TestProtocolViolations(t *testing.T) {
-	t.Run("continuation without start", func(t *testing.T) {
-		cli, srv := pipeConns(t)
-		srv.writeFrame(opContinuation, []byte("x"), true)
-		if _, _, err := cli.ReadMessage(); err == nil {
-			t.Fatal("accepted orphan continuation")
-		}
-	})
-	t.Run("new data frame inside fragmented message", func(t *testing.T) {
-		cli, srv := pipeConns(t)
-		srv.writeFrame(OpText, []byte("x"), false)
-		srv.writeFrame(OpText, []byte("y"), true)
-		if _, _, err := cli.ReadMessage(); err == nil {
-			t.Fatal("accepted interleaved data frame")
-		}
-	})
+	for _, tc := range []struct {
+		name   string
+		frames func(srv *Conn)
+	}{
+		{"continuation without start", func(srv *Conn) {
+			srv.writeFrame(opContinuation, []byte("x"), true)
+		}},
+		{"new data frame inside fragmented message", func(srv *Conn) {
+			srv.writeFrame(OpText, []byte("x"), false)
+			srv.writeFrame(OpText, []byte("y"), true)
+		}},
+		{"fragmented ping", func(srv *Conn) {
+			srv.writeFrame(opPing, []byte("p"), false)
+		}},
+		{"fragmented close", func(srv *Conn) {
+			srv.writeFrame(opClose, nil, false)
+		}},
+		{"oversized ping", func(srv *Conn) {
+			srv.writeFrame(opPing, bytes.Repeat([]byte{0}, 126), true)
+		}},
+		{"4 MiB ping", func(srv *Conn) {
+			srv.writeFrame(opPing, bytes.Repeat([]byte{0}, maxMessageLen), true)
+		}},
+		{"oversized pong", func(srv *Conn) {
+			srv.writeFrame(opPong, bytes.Repeat([]byte{0}, 200), true)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := pipeConns(t)
+			wrote := make(chan struct{})
+			go func() { defer close(wrote); tc.frames(srv) }()
+			_, _, err := cli.ReadMessage()
+			// Closing the reader fails a write still blocked on the payload
+			// it refused to read.
+			cli.Close()
+			<-wrote
+			if err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
 }
