@@ -543,64 +543,89 @@ func BenchmarkIngestFanIn(b *testing.B) {
 	}
 }
 
-// BenchmarkSinkApply isolates the sink's per-event monitor cost at 64
-// vantage points: the pre-incremental design re-scored every VP against
-// every probe on each event (reproduced here as Process + Rescore, the
-// exported from-scratch fold), while the incremental monitor touches only
-// the probes the event's prefix covers. The incremental path must win by
-// ≥5x — it is what keeps the single ordered sink off the ingest critical
-// path.
-func BenchmarkSinkApply(b *testing.B) {
-	const nVPs = 64
-	mkConfig := func() *core.Config {
-		// A /20 probed as 16 /24s: wide enough that a full fold has real
-		// work per VP.
-		return &core.Config{
-			OwnedPrefixes: []prefix.Prefix{prefix.MustParse("10.0.0.0/20")},
-			LegitOrigins:  []bgp.ASN{61000},
-		}
+// sinkWorkload is the monitor's share of the daemon's feed, in
+// benchmark/gen's shape: 1024 owned /26s tiling 10.0.0.0/16 plus 64 owned
+// /48s, 64 vantage points, and the 70/10/10/5/5 mix of benign exact
+// announcements, withdrawals, unrelated routes, exact-origin hijacks and
+// legitimate-origin sub-prefixes (10% of benign and unrelated events are
+// IPv6). SeenAt counts events.
+func sinkWorkload(n int) (*core.Config, []feedtypes.Event) {
+	owned, _ := prefix.MustParse("10.0.0.0/16").Deaggregate(26)
+	v4 := len(owned)
+	for i := 0; i < 64; i++ {
+		owned = append(owned, prefix.New(prefix.AddrFrom16(0x20010db8<<32|uint64(2*i)<<16, 0), 48))
 	}
-	mkEvents := func(n int) []feedtypes.Event {
-		rng := rand.New(rand.NewSource(9))
-		evs := make([]feedtypes.Event, n)
-		for i := range evs {
-			origin := bgp.ASN(61000)
-			if rng.Intn(10) == 0 {
-				origin = bgp.ASN(660 + rng.Intn(4))
-			}
-			base := prefix.AddrFrom4(uint32(10<<24) + uint32(rng.Intn(16)<<8))
-			evs[i] = feedtypes.Event{
-				Source: "ris", VantagePoint: bgp.ASN(100 + rng.Intn(nVPs)),
-				Kind: feedtypes.Announce, Prefix: prefix.New(base, 24),
-				Path:   []bgp.ASN{bgp.ASN(100 + rng.Intn(nVPs)), 2000, origin},
-				SeenAt: time.Duration(i) * time.Millisecond, EmittedAt: time.Duration(i) * time.Millisecond,
-			}
+	cfg := &core.Config{OwnedPrefixes: owned, LegitOrigins: []bgp.ASN{61000}, Self: core.NewSelfAnnounced()}
+	rng := rand.New(rand.NewSource(9))
+	evs := make([]feedtypes.Event, n)
+	for i := range evs {
+		vp := bgp.ASN(3000 + rng.Intn(64))
+		v6 := rng.Intn(10) == 0
+		ev := feedtypes.Event{
+			Source: "ris", VantagePoint: vp, Kind: feedtypes.Announce,
+			Path:   []bgp.ASN{vp, 20000, 1001, 61000},
+			SeenAt: time.Duration(i), EmittedAt: time.Duration(i),
 		}
-		return evs
+		switch r := rng.Intn(20); {
+		case r < 16: // benign exact (14/20) and withdrawal (2/20) of owned space
+			if v6 {
+				ev.Prefix = owned[v4+rng.Intn(64)]
+			} else {
+				ev.Prefix = owned[rng.Intn(v4)]
+			}
+			if r >= 14 {
+				ev.Kind, ev.Path = feedtypes.Withdraw, nil
+			}
+		case r < 18: // unrelated
+			if v6 {
+				ev.Prefix = prefix.New(prefix.AddrFrom16(0x2400cb00<<32|uint64(rng.Intn(256))<<16, 0), 48)
+			} else {
+				ev.Prefix = prefix.New(prefix.AddrFrom4(172<<24|20<<16|uint32(rng.Intn(1024))<<8), 24)
+			}
+			ev.Path = []bgp.ASN{vp, 20000, 2914, 64700}
+		case r < 19: // exact-origin hijack of one of 64 owned /26s
+			ev.Prefix = owned[rng.Intn(64)]
+			ev.Path = []bgp.ASN{vp, 20000, bgp.ASN(64600 + rng.Intn(4))}
+		default: // legitimate origin on one of 64 unregistered /27s
+			ev.Prefix, _ = owned[64+rng.Intn(64)].Split()
+		}
+		evs[i] = ev
 	}
-	warm := mkEvents(4 * nVPs) // populate all VPs before measuring
-	evs := mkEvents(8192)
+	return cfg, evs
+}
 
-	b.Run("full-fold", func(b *testing.B) {
-		m := core.NewMonitor(mkConfig())
-		m.ProcessBatch(warm)
+// BenchmarkSinkApply isolates the sink's monitor cost on sinkWorkload,
+// folded into a monitor warmed by the whole stream. incremental is the
+// sink's own call: one op folds a 256-event batch. The pre-incremental
+// design re-scored every VP against every probe on each event, reproduced
+// as full-fold: one op folds one event and runs Rescore (the exported
+// brute-force oracle, so an upper bound). The incremental monitor touches
+// only the probes the event's prefix covers — it is what keeps the single
+// ordered sink off the ingest critical path.
+func BenchmarkSinkApply(b *testing.B) {
+	cfg, evs := sinkWorkload(1 << 16)
+	fold := func(b *testing.B, batch int, rescore bool) {
+		m := core.NewMonitor(cfg)
+		m.ProcessBatch(evs)
+		b.ReportAllocs()
 		b.ResetTimer()
+		off := 0
 		for i := 0; i < b.N; i++ {
-			ev := evs[i%len(evs)]
-			m.Process(ev)
-			m.Rescore(ev.EmittedAt) // the pre-incremental per-event cost
+			part := evs[off : off+batch]
+			for j := range part { // fresher than the last pass: not stale-dropped
+				part[j].SeenAt += time.Duration(len(evs))
+				part[j].EmittedAt = part[j].SeenAt
+			}
+			m.ProcessBatch(part)
+			if rescore {
+				m.Rescore(part[0].EmittedAt)
+			}
+			off = (off + batch) % len(evs)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
-	})
-	b.Run("incremental", func(b *testing.B) {
-		m := core.NewMonitor(mkConfig())
-		m.ProcessBatch(warm)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Process(evs[i%len(evs)])
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
-	})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
+	}
+	b.Run("full-fold", func(b *testing.B) { fold(b, 1, true) })
+	b.Run("incremental", func(b *testing.B) { fold(b, 256, false) })
 }
 
 // BenchmarkBGPCodec measures the wire codec on a realistic UPDATE.

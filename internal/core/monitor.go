@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -15,14 +17,16 @@ import (
 // captures the owned address space — the real-time view of hijack spread
 // and mitigation progress that the demo visualizes (§4).
 //
-// The partition of vantage points (legit / hijacked / unknown) is
-// maintained incrementally: each VP caches a per-probe verdict plus its
-// informed/bad counts, and each event recomputes only the probes its
-// prefix can affect (an announce or withdraw of P changes a probe's
-// longest-prefix match only when P contains the probe address). Folding
-// an event is therefore O(affected probes × trie depth) instead of the
+// All vantage points share one prefix index: each prefix seen is interned
+// once, and each probe keeps the chain of ids covering it, longest first,
+// so a VP's longest match for a probe is the first chain id it holds. The
+// partition of vantage points (legit / hijacked / unknown) is maintained
+// incrementally: each VP caches a per-probe verdict plus its informed/bad
+// counts, and an event re-walks only the chains of the probes its prefix
+// covers (only those can change their longest match). Folding an event is
+// one hash lookup plus O(affected probes × chain length) instead of the
 // O(VPs × probes) full rescore the pre-incremental sink paid per event —
-// Rescore keeps that fold around as the verification oracle.
+// Rescore keeps a from-scratch fold as the verification oracle.
 type Monitor struct {
 	cfg *Config
 
@@ -34,12 +38,31 @@ type Monitor struct {
 	// byAddr indexes probes in ascending address order so the probes a
 	// prefix covers resolve with one binary search.
 	byAddr []int
+	// ids, pfxs and chains are the prefix index shared by every VP:
+	// FoldIdentity → first dense id with that hash, id → interned entry,
+	// probe index → covering ids, longest first.
+	ids    map[uint64]int32
+	pfxs   []interned
+	chains [][]int32
 	// tally is the running partition, updated as VP verdicts change.
 	tally Sample
 	// lastAt is the latest event time folded; History uses it to close
 	// the series with the final plateau even when the partition has not
 	// changed for a long quiet tail.
 	lastAt time.Duration
+}
+
+// interned is one prefix of the monitor's shared index.
+type interned struct {
+	p prefix.Prefix
+	// sub is the config-fixed half of Config.entryLegit: p is a strict
+	// more-specific of owned space and not owned itself, so a legit origin
+	// also needs Self.Has(p) — mutable, and asked at fold time.
+	sub bool
+	// lo, hi bound the probes p covers: byAddr[lo:hi].
+	lo, hi int32
+	// next is the next id whose prefix hashes alike, or -1.
+	next int32
 }
 
 // vpVerdictKind is a vantage point's cached classification.
@@ -60,11 +83,19 @@ const (
 	probeBad                          // covered, illegitimate origin
 )
 
+// vpRoute is a VP's announced origin for one interned prefix, if held.
+type vpRoute struct {
+	origin bgp.ASN
+	held   bool
+}
+
 type vpState struct {
-	// entries: announced prefix → (origin, last change time) as seen from
-	// this vantage point, across all feeds (freshest wins).
-	entries *prefix.Trie[vpEntry]
-	last    map[prefix.Prefix]time.Duration
+	// routes and seen are indexed by prefix id: the announced origin as
+	// seen from this vantage point across all feeds (freshest wins), and
+	// the last SeenAt folded for that prefix. Ids past their length are
+	// not held and never seen.
+	routes []vpRoute
+	seen   []time.Duration
 	// status caches the per-probe verdict; informed and bad are the counts
 	// of matched and illegitimately-originated probes, so the VP's verdict
 	// is O(1) to read after an O(affected) update.
@@ -82,10 +113,6 @@ func (st *vpState) verdict() vpVerdictKind {
 	default:
 		return vpLegit
 	}
-}
-
-type vpEntry struct {
-	origin bgp.ASN
 }
 
 // Sample is one point of the mitigation-progress time series.
@@ -115,8 +142,15 @@ func (s Sample) FractionLegit() float64 {
 
 // NewMonitor builds the monitoring service.
 func NewMonitor(cfg *Config) *Monitor {
-	m := &Monitor{cfg: cfg, vps: make(map[bgp.ASN]*vpState)}
-	m.probes = probeAddrs(cfg.OwnedPrefixes)
+	m := &Monitor{cfg: cfg, vps: make(map[bgp.ASN]*vpState), ids: make(map[uint64]int32)}
+	m.setProbes()
+	return m
+}
+
+// setProbes rebuilds the probe set, its address order and empty chains
+// for the current config.
+func (m *Monitor) setProbes() {
+	m.probes = probeAddrs(m.cfg.OwnedPrefixes)
 	m.byAddr = make([]int, len(m.probes))
 	for i := range m.byAddr {
 		m.byAddr[i] = i
@@ -124,7 +158,7 @@ func NewMonitor(cfg *Config) *Monitor {
 	sort.Slice(m.byAddr, func(a, b int) bool {
 		return m.probes[m.byAddr[a]].Less(m.probes[m.byAddr[b]])
 	})
-	return m
+	m.chains = make([][]int32, len(m.probes))
 }
 
 // probeAddrs picks representative addresses inside the owned space: the
@@ -161,41 +195,95 @@ func probeAddrs(owned []prefix.Prefix) []prefix.Addr {
 	return addrs
 }
 
+// intern returns p's id, indexing p under the current config the first
+// time it is seen.
+func (m *Monitor) intern(p prefix.Prefix) int32 {
+	h := prefix.FoldIdentity(fnvOffset, p)
+	head, ok := m.ids[h]
+	if !ok {
+		head = -1
+	}
+	for id := head; id >= 0; id = m.pfxs[id].next {
+		if m.pfxs[id].p == p {
+			return id
+		}
+	}
+	id := int32(len(m.pfxs))
+	m.ids[h] = id
+	m.pfxs = append(m.pfxs, interned{p: p, next: head})
+	m.index(id)
+	return id
+}
+
+// index records id's class and probe window under the current config,
+// and places it on the chain of every probe it covers.
+func (m *Monitor) index(id int32) {
+	e := &m.pfxs[id]
+	owned := m.cfg.OwnedPrefixes
+	e.sub = !slices.Contains(owned, e.p) && slices.ContainsFunc(owned, func(o prefix.Prefix) bool { return o.Contains(e.p) })
+	// Probes sort family-first (v4 before v6), so the [lo, hi] window of a
+	// prefix only spans probes of its own family.
+	lo, hi := e.p.Addr(), e.p.Last()
+	e.lo = int32(sort.Search(len(m.byAddr), func(i int) bool { return m.probes[m.byAddr[i]].Compare(lo) >= 0 }))
+	e.hi = int32(sort.Search(len(m.byAddr), func(i int) bool { return m.probes[m.byAddr[i]].Compare(hi) > 0 }))
+	bits := e.p.Bits()
+	for _, idx := range m.byAddr[e.lo:e.hi] {
+		// Every id on a chain covers the probe, so lengths are distinct.
+		chain := m.chains[idx]
+		at := 0
+		for at < len(chain) && m.pfxs[chain[at]].p.Bits() > bits {
+			at++
+		}
+		m.chains[idx] = slices.Insert(chain, at, id)
+	}
+}
+
+// match returns the VP's longest held prefix covering probe idx.
+func (m *Monitor) match(st *vpState, idx int) (int32, bool) {
+	for _, id := range m.chains[idx] {
+		if int(id) < len(st.routes) && st.routes[id].held {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// probeStatusLocked judges probe idx by Config.entryLegit on its match.
+func (m *Monitor) probeStatusLocked(st *vpState, idx int) probeStatus {
+	id, ok := m.match(st, idx)
+	if !ok {
+		return probeUnmatched
+	}
+	if e := &m.pfxs[id]; m.cfg.originLegit(st.routes[id].origin) && (!e.sub || m.cfg.Self.Has(e.p)) {
+		return probeLegit
+	}
+	return probeBad
+}
+
 // SetConfig swaps the monitor to a new configuration snapshot: the probe
-// set is rebuilt for the new owned space, every vantage point's cached
-// per-probe verdicts are recomputed from its (preserved) routing view, and
-// the partition tallies are re-derived. If the partition changes — a VP
-// hijacked only on a removed prefix becomes legit, a VP already routing a
-// newly added prefix to an attacker becomes hijacked — the history gains a
-// change-point at the latest folded event time. Called by the service's
-// reconfiguration barrier, i.e. at a fixed serial position in the event
-// stream.
+// set is rebuilt for the new owned space, every interned prefix is
+// re-classed and re-placed on the new probes' chains, every vantage
+// point's cached per-probe verdicts are recomputed from its (preserved)
+// routing view, and the partition tallies are re-derived. If the
+// partition changes — a VP hijacked only on a removed prefix becomes
+// legit, a VP already routing a newly added prefix to an attacker becomes
+// hijacked — the history gains a change-point at the latest folded event
+// time. Called by the service's reconfiguration barrier, i.e. at a fixed
+// serial position in the event stream.
 func (m *Monitor) SetConfig(next *Config) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.cfg = next
-	m.probes = probeAddrs(next.OwnedPrefixes)
-	m.byAddr = make([]int, len(m.probes))
-	for i := range m.byAddr {
-		m.byAddr[i] = i
+	m.setProbes()
+	for id := range m.pfxs {
+		m.index(int32(id))
 	}
-	sort.Slice(m.byAddr, func(a, b int) bool {
-		return m.probes[m.byAddr[a]].Less(m.probes[m.byAddr[b]])
-	})
 	m.tally = Sample{}
 	for _, st := range m.vps {
 		st.status = make([]probeStatus, len(m.probes))
 		st.informed, st.bad = 0, 0
-		for idx, addr := range m.probes {
-			if pfx, e, ok := st.entries.LongestMatch(addr); ok {
-				st.informed++
-				if m.cfg.entryLegit(pfx, e.origin) {
-					st.status[idx] = probeLegit
-				} else {
-					st.status[idx] = probeBad
-					st.bad++
-				}
-			}
+		for idx := range m.probes {
+			st.setStatus(idx, m.probeStatusLocked(st, idx))
 		}
 		m.tallyAdd(st.verdict())
 	}
@@ -233,7 +321,7 @@ func (m *Monitor) Stop() {
 func (m *Monitor) Process(ev feedtypes.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.processLocked(ev)
+	m.processLocked(&ev)
 }
 
 // ProcessBatch folds a batch of feed events in order under one lock
@@ -243,38 +331,42 @@ func (m *Monitor) ProcessBatch(evs []feedtypes.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := range evs {
-		m.processLocked(evs[i])
+		m.processLocked(&evs[i])
 	}
 }
 
-func (m *Monitor) processLocked(ev feedtypes.Event) {
+func (m *Monitor) processLocked(ev *feedtypes.Event) {
 	st := m.vps[ev.VantagePoint]
 	if st == nil {
-		st = &vpState{
-			entries: prefix.NewTrie[vpEntry](),
-			last:    make(map[prefix.Prefix]time.Duration),
-			status:  make([]probeStatus, len(m.probes)),
-		}
+		st = &vpState{status: make([]probeStatus, len(m.probes))}
 		m.vps[ev.VantagePoint] = st
 		m.tally.UnknownVPs++ // a fresh VP has no routing information yet
 	}
+	id := m.intern(ev.Prefix)
+	for len(st.seen) < len(m.pfxs) { // unseen: older than any SeenAt
+		st.routes = append(st.routes, vpRoute{})
+		st.seen = append(st.seen, math.MinInt64)
+	}
 	// Freshest observation wins across sources; a stale LG poll must not
 	// roll back a newer streamed update.
-	if last, ok := st.last[ev.Prefix]; ok && ev.SeenAt < last {
+	if ev.SeenAt < st.seen[id] {
 		return
 	}
-	st.last[ev.Prefix] = ev.SeenAt
+	st.seen[id] = ev.SeenAt
 	old := st.verdict()
 	if ev.Kind == feedtypes.Withdraw {
-		st.entries.Delete(ev.Prefix)
+		st.routes[id] = vpRoute{}
 	} else if origin, ok := ev.Origin(); ok {
-		st.entries.Insert(ev.Prefix, vpEntry{origin: origin})
+		st.routes[id] = vpRoute{origin: origin, held: true}
 	} else {
-		// Malformed announcement: no trie change, no verdict change.
+		// Malformed announcement: no route change, no verdict change.
 		m.coalesceLocked(ev.EmittedAt)
 		return
 	}
-	m.rescoreProbesLocked(st, ev.Prefix)
+	e := &m.pfxs[id]
+	for _, idx := range m.byAddr[e.lo:e.hi] {
+		st.setStatus(idx, m.probeStatusLocked(st, idx))
+	}
 	if now := st.verdict(); now != old {
 		m.tallySub(old)
 		m.tallyAdd(now)
@@ -282,41 +374,26 @@ func (m *Monitor) processLocked(ev feedtypes.Event) {
 	m.coalesceLocked(ev.EmittedAt)
 }
 
-// rescoreProbesLocked recomputes the cached status of every probe the
-// prefix covers for one VP, maintaining the VP's informed/bad counts.
-func (m *Monitor) rescoreProbesLocked(st *vpState, p prefix.Prefix) {
-	// Probes sort family-first (v4 before v6), so the [lo, hi] window of a
-	// prefix only spans probes of its own family.
-	lo, hi := p.Addr(), p.Last()
-	i := sort.Search(len(m.byAddr), func(i int) bool { return m.probes[m.byAddr[i]].Compare(lo) >= 0 })
-	for ; i < len(m.byAddr) && m.probes[m.byAddr[i]].Compare(hi) <= 0; i++ {
-		idx := m.byAddr[i]
-		var now probeStatus
-		if pfx, e, ok := st.entries.LongestMatch(m.probes[idx]); ok {
-			if m.cfg.entryLegit(pfx, e.origin) {
-				now = probeLegit
-			} else {
-				now = probeBad
-			}
-		}
-		was := st.status[idx]
-		if was == now {
-			continue
-		}
-		if was != probeUnmatched {
-			st.informed--
-			if was == probeBad {
-				st.bad--
-			}
-		}
-		if now != probeUnmatched {
-			st.informed++
-			if now == probeBad {
-				st.bad++
-			}
-		}
-		st.status[idx] = now
+// setStatus moves one probe's cached status, maintaining the informed/bad
+// counts.
+func (st *vpState) setStatus(idx int, now probeStatus) {
+	was := st.status[idx]
+	if was == now {
+		return
 	}
+	if was != probeUnmatched {
+		st.informed--
+		if was == probeBad {
+			st.bad--
+		}
+	}
+	if now != probeUnmatched {
+		st.informed++
+		if now == probeBad {
+			st.bad++
+		}
+	}
+	st.status[idx] = now
 }
 
 func (m *Monitor) tallyAdd(v vpVerdictKind) {
@@ -366,10 +443,11 @@ func (m *Monitor) Snapshot(at time.Duration) Sample {
 	return s
 }
 
-// Rescore recomputes the partition from scratch — the O(VPs × probes)
-// fold the pre-incremental sink paid on every event. It is the
-// verification oracle for the incremental tallies (tests assert
-// Rescore == Snapshot) and the baseline side of BenchmarkSinkApply.
+// Rescore recomputes the partition from scratch, without the chains or
+// classes: each probe's longest match is brute-forced over the VP's held
+// prefixes and judged by Config.entryLegit. It is the verification oracle
+// for the incremental tallies (tests assert Rescore == Snapshot) and the
+// baseline side of BenchmarkSinkApply.
 func (m *Monitor) Rescore(at time.Duration) Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -377,12 +455,18 @@ func (m *Monitor) Rescore(at time.Duration) Sample {
 	for _, st := range m.vps {
 		informed, bad := 0, 0
 		for _, addr := range m.probes {
-			pfx, e, ok := st.entries.LongestMatch(addr)
-			if !ok {
+			best := -1
+			for id, r := range st.routes {
+				p := m.pfxs[id].p
+				if r.held && p.ContainsAddr(addr) && (best < 0 || p.Bits() > m.pfxs[best].p.Bits()) {
+					best = id
+				}
+			}
+			if best < 0 {
 				continue
 			}
 			informed++
-			if !m.cfg.entryLegit(pfx, e.origin) {
+			if !m.cfg.entryLegit(m.pfxs[best].p, st.routes[best].origin) {
 				bad++
 			}
 		}
@@ -425,12 +509,10 @@ func (m *Monitor) VPOrigins() map[bgp.ASN][]bgp.ASN {
 	defer m.mu.Unlock()
 	out := make(map[bgp.ASN][]bgp.ASN, len(m.vps))
 	for vp, st := range m.vps {
-		origins := make([]bgp.ASN, 0, len(m.probes))
-		for _, addr := range m.probes {
-			if _, e, ok := st.entries.LongestMatch(addr); ok {
-				origins = append(origins, e.origin)
-			} else {
-				origins = append(origins, 0)
+		origins := make([]bgp.ASN, len(m.probes))
+		for idx := range m.probes {
+			if id, ok := m.match(st, idx); ok {
+				origins[idx] = st.routes[id].origin
 			}
 		}
 		out[vp] = origins

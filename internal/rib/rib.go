@@ -32,8 +32,6 @@ import (
 type Table struct {
 	mu sync.RWMutex
 	rt *route.Table
-	// routes counts all candidate routes (not just best) across prefixes.
-	routes int64
 	// origins counts, per origin AS, how many best routes it originates.
 	origins map[bgp.ASN]*originCount
 	// masks is the per-mask histogram of resident best prefixes:
@@ -62,39 +60,43 @@ func famIdx(p prefix.Prefix) int {
 	return 0
 }
 
-// insert installs one candidate route, updating the indices. The path is
-// retained, so callers handing over pooled storage must set clone; live
-// marks feed-driven movement (bootstrap loading passes false).
-func (t *Table) insert(p prefix.Prefix, path []bgp.ASN, from bgp.ASN, clone, live bool) {
+// routeBlock is a route and a path of up to six hops in one allocation.
+type routeBlock struct {
+	r    route.Route
+	path [6]bgp.ASN
+}
+
+// insertLocked installs one candidate route around a copy of path (which
+// may be pooled event storage), updating the indices; live marks
+// feed-driven movement (bootstrap loading passes false). A RIB route
+// always has an origin and a vantage point: others are ignored. Caller
+// holds the write lock.
+func (t *Table) insertLocked(p prefix.Prefix, path []bgp.ASN, from bgp.ASN, live bool) {
 	if len(path) == 0 || from == 0 {
-		return // a RIB route always has an origin and a vantage point
+		return
 	}
-	if clone {
-		path = slices.Clone(path)
-	}
-	r := &route.Route{Prefix: p, Path: path, From: from, Rel: topo.Peer}
-	t.mu.Lock()
 	if live {
 		t.announces[famIdx(p)]++
 	}
-	before := t.rt.NumCandidates(p)
-	old, best, changed := t.rt.Update(r)
-	t.routes += int64(t.rt.NumCandidates(p) - before)
+	b := &routeBlock{r: route.Route{Prefix: p, From: from, Rel: topo.Peer}}
+	if len(path) <= len(b.path) {
+		b.r.Path = b.path[:len(path):len(path)]
+		copy(b.r.Path, path)
+	} else {
+		b.r.Path = slices.Clone(path)
+	}
+	old, best, changed := t.rt.Update(&b.r)
 	t.noteBestChange(p, old, best, changed)
-	t.mu.Unlock()
 }
 
-// remove withdraws the candidate learned from the given vantage point.
-func (t *Table) remove(p prefix.Prefix, from bgp.ASN, live bool) {
-	t.mu.Lock()
+// removeLocked withdraws the candidate learned from the given vantage
+// point. Caller holds the write lock.
+func (t *Table) removeLocked(p prefix.Prefix, from bgp.ASN, live bool) {
 	if live {
 		t.withdraws[famIdx(p)]++
 	}
-	before := t.rt.NumCandidates(p)
 	old, best, changed := t.rt.Withdraw(p, from)
-	t.routes += int64(t.rt.NumCandidates(p) - before)
 	t.noteBestChange(p, old, best, changed)
-	t.mu.Unlock()
 }
 
 // noteBestChange maintains the origin and mask indices across one best-route
@@ -137,17 +139,18 @@ func (t *Table) bumpOrigin(asn bgp.ASN, fam int, delta int64) {
 	}
 }
 
-// Apply folds a batch of live feed events into the table, counting
-// table movement. Event storage is pooled (feedtypes batch contract), so
-// retained paths are deep-copied here.
+// Apply folds a batch of live feed events into the table under one write
+// lock, counting table movement.
 func (t *Table) Apply(evs []feedtypes.Event) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case feedtypes.Announce:
-			t.insert(ev.Prefix, ev.Path, ev.VantagePoint, true, true)
+			t.insertLocked(ev.Prefix, ev.Path, ev.VantagePoint, true)
 		case feedtypes.Withdraw:
-			t.remove(ev.Prefix, ev.VantagePoint, true)
+			t.removeLocked(ev.Prefix, ev.VantagePoint, true)
 		}
 	}
 }
@@ -243,7 +246,7 @@ func (t *Table) Snapshot() Stats {
 		s.MasksV6[b] = t.masks[1][b]
 		s.PrefixesV6 += t.masks[1][b]
 	}
-	s.Routes = t.routes
+	s.Routes = int64(t.rt.Routes())
 	s.Origins = len(t.origins)
 	s.AnnouncesV4, s.AnnouncesV6 = t.announces[0], t.announces[1]
 	s.WithdrawsV4, s.WithdrawsV6 = t.withdraws[0], t.withdraws[1]

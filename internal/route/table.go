@@ -13,11 +13,40 @@ type Table struct {
 	self     bgp.ASN
 	prefixes map[prefix.Prefix]*prefixState
 	best     *prefix.Trie[*Route]
+	routes   int
 }
 
+// prefixState holds one prefix's candidates, at most one per neighbor.
+// Each From sits beside its route, so finding a neighbor's candidate reads
+// one slice and dereferences nothing.
 type prefixState struct {
-	candidates map[bgp.ASN]*Route // keyed by From (0 = local)
-	best       *Route
+	cands []candidate
+	best  *Route
+}
+
+type candidate struct {
+	from bgp.ASN // 0 = local
+	r    *Route
+}
+
+func (st *prefixState) find(from bgp.ASN) int {
+	for i := range st.cands {
+		if st.cands[i].from == from {
+			return i
+		}
+	}
+	return -1
+}
+
+// rescan runs the full decision process over every candidate.
+func (st *prefixState) rescan() *Route {
+	var best *Route
+	for _, c := range st.cands {
+		if best == nil || Better(c.r, best) {
+			best = c.r
+		}
+	}
+	return best
 }
 
 // NewTable returns an empty table for the AS with the given number.
@@ -36,14 +65,37 @@ func (t *Table) Self() bgp.ASN { return t.self }
 // and re-runs selection. It returns the previous and new best routes and
 // whether the best route changed. Routes containing the local ASN in their
 // path are rejected by the caller (Node), not here.
+//
+// Selection is incremental and exact: Better is a strict total order over
+// candidates with distinct From, so a route that beats the best becomes
+// the best, a replacement of the best by a route at least as good keeps
+// its From on top, and only a replacement of the best by a worse route
+// rescans; anything else leaves the best unchanged.
 func (t *Table) Update(r *Route) (old, best *Route, changed bool) {
 	st := t.prefixes[r.Prefix]
 	if st == nil {
-		st = &prefixState{candidates: make(map[bgp.ASN]*Route)}
+		st = &prefixState{}
 		t.prefixes[r.Prefix] = st
 	}
-	st.candidates[r.From] = r
-	return t.reselect(r.Prefix, st)
+	old = st.best
+	i := st.find(r.From)
+	if i < 0 {
+		st.cands = append(st.cands, candidate{from: r.From, r: r})
+		t.routes++
+	} else {
+		st.cands[i].r = r
+	}
+	switch {
+	case old == nil || Better(r, old):
+		best = r
+	case old.From != r.From:
+		best = old
+	case !Better(old, r):
+		best = r
+	default:
+		best = st.rescan()
+	}
+	return t.settle(r.Prefix, st, old, best)
 }
 
 // Withdraw removes the candidate learned from the given neighbor (0 for a
@@ -53,12 +105,18 @@ func (t *Table) Withdraw(p prefix.Prefix, from bgp.ASN) (old, best *Route, chang
 	if st == nil {
 		return nil, nil, false
 	}
-	if _, ok := st.candidates[from]; !ok {
+	i := st.find(from)
+	if i < 0 {
 		return st.best, st.best, false
 	}
-	delete(st.candidates, from)
-	old, best, changed = t.reselect(p, st)
-	if len(st.candidates) == 0 {
+	st.cands = slices.Delete(st.cands, i, i+1)
+	t.routes--
+	old, best = st.best, st.best
+	if old.From == from {
+		best = st.rescan()
+	}
+	old, best, changed = t.settle(p, st, old, best)
+	if len(st.cands) == 0 {
 		delete(t.prefixes, p)
 	}
 	return old, best, changed
@@ -84,13 +142,8 @@ func (t *Table) WithdrawLocal(p prefix.Prefix) (old, best *Route, changed bool) 
 	return t.Withdraw(p, 0)
 }
 
-func (t *Table) reselect(p prefix.Prefix, st *prefixState) (old, best *Route, changed bool) {
-	old = st.best
-	for _, cand := range st.candidates {
-		if best == nil || Better(cand, best) {
-			best = cand
-		}
-	}
+// settle records best as p's selected route and keeps the trie in step.
+func (t *Table) settle(p prefix.Prefix, st *prefixState, old, best *Route) (*Route, *Route, bool) {
 	st.best = best
 	if best == old {
 		return old, best, false
@@ -126,9 +179,9 @@ func (t *Table) Candidates(p prefix.Prefix) []*Route {
 	if st == nil {
 		return nil
 	}
-	out := make([]*Route, 0, len(st.candidates))
-	for _, r := range st.candidates {
-		out = append(out, r)
+	out := make([]*Route, len(st.cands))
+	for i, c := range st.cands {
+		out[i] = c.r
 	}
 	return out
 }
@@ -140,8 +193,11 @@ func (t *Table) NumCandidates(p prefix.Prefix) int {
 	if st == nil {
 		return 0
 	}
-	return len(st.candidates)
+	return len(st.cands)
 }
+
+// Routes returns the number of candidate routes across all prefixes.
+func (t *Table) Routes() int { return t.routes }
 
 // Resolve performs longest-prefix-match forwarding for addr and returns the
 // best route of the most specific covering prefix. This is "where does my

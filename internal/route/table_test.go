@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/rand"
 	"testing"
 
 	"artemis/internal/bgp"
@@ -222,5 +223,97 @@ func TestOriginateWithPath(t *testing.T) {
 	// WithdrawLocal removes it like an honest origination.
 	if _, _, changed := tb.WithdrawLocal(p); !changed {
 		t.Fatal("withdraw of forged origination did not change best")
+	}
+}
+
+// TestTableSelectionMatchesRescan drives interleaved Update / Withdraw /
+// Originate streams into a table and into a reference that re-runs the
+// decision process over every candidate after each step, and requires the
+// same best routes, change reports, candidate sets and forwarding.
+func TestTableSelectionMatchesRescan(t *testing.T) {
+	prefixes := []prefix.Prefix{
+		prefix.MustParse("10.0.0.0/22"), prefix.MustParse("10.0.0.0/23"),
+		prefix.MustParse("10.0.1.0/24"), prefix.MustParse("2001:db8::/32"),
+	}
+	rels := []topo.Rel{topo.Customer, topo.Peer, topo.Provider}
+	rescan := func(cands map[bgp.ASN]*Route) *Route {
+		var best *Route
+		for _, r := range cands {
+			if best == nil || Better(r, best) {
+				best = r
+			}
+		}
+		return best
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewTable(42)
+		ref := make(map[prefix.Prefix]map[bgp.ASN]*Route)
+		for step := 0; step < 5000; step++ {
+			p := prefixes[rng.Intn(len(prefixes))]
+			from := bgp.ASN(rng.Intn(7)) // 0 = local
+			before := rescan(ref[p])
+			var old, best *Route
+			var changed bool
+			switch k := rng.Intn(10); {
+			case k < 3:
+				old, best, changed = tb.Withdraw(p, from)
+				delete(ref[p], from)
+			case from == 0:
+				old, best, changed = tb.Originate(p)
+				if ref[p] == nil {
+					ref[p] = make(map[bgp.ASN]*Route)
+				}
+				ref[p][0] = &Route{Prefix: p}
+			default:
+				path := []bgp.ASN{from}
+				for n := rng.Intn(4); n > 0; n-- {
+					path = append(path, bgp.ASN(100+rng.Intn(3)))
+				}
+				r := &Route{Prefix: p, Path: path, From: from, Rel: rels[rng.Intn(len(rels))]}
+				old, best, changed = tb.Update(r)
+				if ref[p] == nil {
+					ref[p] = make(map[bgp.ASN]*Route)
+				}
+				ref[p][from] = r
+			}
+			after := rescan(ref[p])
+			if !old.Equal(before) || !best.Equal(after) || changed != !before.Equal(after) {
+				t.Fatalf("seed %d step %d %s from %d: got (%v, %v, %v), rescan (%v, %v, %v)",
+					seed, step, p, from, old, best, changed, before, after, !before.Equal(after))
+			}
+			if got, ok := tb.Best(p); ok != (after != nil) || !got.Equal(after) {
+				t.Fatalf("seed %d step %d: Best(%s) = %v, rescan %v", seed, step, p, got, after)
+			}
+			routes, resident := 0, 0
+			for q, cands := range ref {
+				routes += len(cands)
+				if len(cands) > 0 {
+					resident++
+				}
+				if got := tb.Candidates(q); len(got) != len(cands) {
+					t.Fatalf("seed %d step %d: %d candidates for %s, want %d", seed, step, len(got), q, len(cands))
+				}
+				for _, r := range tb.Candidates(q) {
+					if !r.Equal(cands[r.From]) {
+						t.Fatalf("seed %d step %d: candidate %v is not the last one installed from %d", seed, step, r, r.From)
+					}
+				}
+			}
+			if tb.Routes() != routes || tb.Len() != resident {
+				t.Fatalf("seed %d step %d: Routes %d Len %d, want %d %d", seed, step, tb.Routes(), tb.Len(), routes, resident)
+			}
+			for _, addr := range []prefix.Addr{prefix.MustParseAddr("10.0.0.1"), prefix.MustParseAddr("10.0.1.1"), prefix.MustParseAddr("2001:db8::1")} {
+				var want *Route
+				for _, q := range prefixes {
+					if r := rescan(ref[q]); r != nil && q.ContainsAddr(addr) && (want == nil || q.Bits() > want.Prefix.Bits()) {
+						want = r
+					}
+				}
+				if got, _ := tb.Resolve(addr); !got.Equal(want) {
+					t.Fatalf("seed %d step %d: Resolve(%s) = %v, rescan %v", seed, step, addr, got, want)
+				}
+			}
+		}
 	}
 }
