@@ -596,15 +596,13 @@ func sinkWorkload(n int) (*core.Config, []feedtypes.Event) {
 
 // BenchmarkSinkApply isolates the sink's monitor cost on sinkWorkload,
 // folded into a monitor warmed by the whole stream. incremental is the
-// sink's own call: one op folds a 256-event batch. The pre-incremental
-// design re-scored every VP against every probe on each event, reproduced
-// as full-fold: one op folds one event and runs Rescore (the exported
-// brute-force oracle, so an upper bound). The incremental monitor touches
-// only the probes the event's prefix covers — it is what keeps the single
-// ordered sink off the ingest critical path.
+// sink's own call: one op folds a 256-event batch. The incremental monitor
+// touches only the probes the event's prefix covers — it is what keeps the
+// single ordered sink off the ingest critical path.
 func BenchmarkSinkApply(b *testing.B) {
 	cfg, evs := sinkWorkload(1 << 16)
-	fold := func(b *testing.B, batch int, rescore bool) {
+	b.Run("incremental", func(b *testing.B) {
+		const batch = 256
 		m := core.NewMonitor(cfg)
 		m.ProcessBatch(evs)
 		b.ReportAllocs()
@@ -617,15 +615,10 @@ func BenchmarkSinkApply(b *testing.B) {
 				part[j].EmittedAt = part[j].SeenAt
 			}
 			m.ProcessBatch(part)
-			if rescore {
-				m.Rescore(part[0].EmittedAt)
-			}
 			off = (off + batch) % len(evs)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
-	}
-	b.Run("full-fold", func(b *testing.B) { fold(b, 1, true) })
-	b.Run("incremental", func(b *testing.B) { fold(b, 256, false) })
+	})
 }
 
 // BenchmarkBGPCodec measures the wire codec on a realistic UPDATE.

@@ -31,7 +31,7 @@ import (
 type metrics map[string]float64
 
 // stripProcs drops a trailing numeric "-N" (the GOMAXPROCS suffix Go
-// appends when GOMAXPROCS > 1). "SinkApply/full-fold-8" → ".../full-fold".
+// appends when GOMAXPROCS > 1). "SinkApply/incremental-8" → ".../incremental".
 func stripProcs(name string) string {
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {

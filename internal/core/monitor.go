@@ -27,6 +27,12 @@ import (
 // one hash lookup plus O(affected probes × chain length) instead of the
 // O(VPs × probes) full rescore the pre-incremental sink paid per event —
 // Rescore keeps a from-scratch fold as the verification oracle.
+//
+// Interned ids are never freed, and a VP's slices reach the highest id it
+// has itself sent, so memory is at most VPs × prefixes interned: a VP with
+// a partial view still pays for every id below its highest one.
+// SetConfig re-classes every interned prefix against every owned prefix:
+// O(prefixes interned × owned prefixes) under the lock.
 type Monitor struct {
 	cfg *Config
 
@@ -343,7 +349,7 @@ func (m *Monitor) processLocked(ev *feedtypes.Event) {
 		m.tally.UnknownVPs++ // a fresh VP has no routing information yet
 	}
 	id := m.intern(ev.Prefix)
-	for len(st.seen) < len(m.pfxs) { // unseen: older than any SeenAt
+	for len(st.seen) <= int(id) { // unseen: older than any SeenAt
 		st.routes = append(st.routes, vpRoute{})
 		st.seen = append(st.seen, math.MinInt64)
 	}
@@ -446,8 +452,7 @@ func (m *Monitor) Snapshot(at time.Duration) Sample {
 // Rescore recomputes the partition from scratch, without the chains or
 // classes: each probe's longest match is brute-forced over the VP's held
 // prefixes and judged by Config.entryLegit. It is the verification oracle
-// for the incremental tallies (tests assert Rescore == Snapshot) and the
-// baseline side of BenchmarkSinkApply.
+// for the incremental tallies (tests assert Rescore == Snapshot).
 func (m *Monitor) Rescore(at time.Duration) Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -67,9 +67,10 @@ func Load(r io.Reader, t *Table) (LoadStats, error) {
 				st.Skipped++
 				continue
 			}
-			// Bootstrap inserts are not table movement.
+			// The parsed path is freshly allocated per record: hand it over
+			// without cloning. Bootstrap inserts are not table movement.
 			t.mu.Lock()
-			t.insertLocked(re.Prefix, path, peer.AS, false)
+			t.insertLocked(re.Prefix, path, peer.AS, false, false)
 			t.mu.Unlock()
 			st.Routes++
 			if re.Prefix.Is6() {

@@ -60,32 +60,21 @@ func famIdx(p prefix.Prefix) int {
 	return 0
 }
 
-// routeBlock is a route and a path of up to six hops in one allocation.
-type routeBlock struct {
-	r    route.Route
-	path [6]bgp.ASN
-}
-
-// insertLocked installs one candidate route around a copy of path (which
-// may be pooled event storage), updating the indices; live marks
-// feed-driven movement (bootstrap loading passes false). A RIB route
-// always has an origin and a vantage point: others are ignored. Caller
+// insertLocked installs one candidate route, updating the indices. The
+// path is retained, so callers handing over pooled storage must set clone;
+// live marks feed-driven movement (bootstrap loading passes false). Caller
 // holds the write lock.
-func (t *Table) insertLocked(p prefix.Prefix, path []bgp.ASN, from bgp.ASN, live bool) {
+func (t *Table) insertLocked(p prefix.Prefix, path []bgp.ASN, from bgp.ASN, clone, live bool) {
 	if len(path) == 0 || from == 0 {
-		return
+		return // a RIB route always has an origin and a vantage point
+	}
+	if clone {
+		path = slices.Clone(path)
 	}
 	if live {
 		t.announces[famIdx(p)]++
 	}
-	b := &routeBlock{r: route.Route{Prefix: p, From: from, Rel: topo.Peer}}
-	if len(path) <= len(b.path) {
-		b.r.Path = b.path[:len(path):len(path)]
-		copy(b.r.Path, path)
-	} else {
-		b.r.Path = slices.Clone(path)
-	}
-	old, best, changed := t.rt.Update(&b.r)
+	old, best, changed := t.rt.Update(&route.Route{Prefix: p, Path: path, From: from, Rel: topo.Peer})
 	t.noteBestChange(p, old, best, changed)
 }
 
@@ -140,7 +129,8 @@ func (t *Table) bumpOrigin(asn bgp.ASN, fam int, delta int64) {
 }
 
 // Apply folds a batch of live feed events into the table under one write
-// lock, counting table movement.
+// lock, counting table movement. Event storage is pooled (feedtypes batch
+// contract), so retained paths are deep-copied here.
 func (t *Table) Apply(evs []feedtypes.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -148,7 +138,7 @@ func (t *Table) Apply(evs []feedtypes.Event) {
 		ev := &evs[i]
 		switch ev.Kind {
 		case feedtypes.Announce:
-			t.insertLocked(ev.Prefix, ev.Path, ev.VantagePoint, true)
+			t.insertLocked(ev.Prefix, ev.Path, ev.VantagePoint, true, true)
 		case feedtypes.Withdraw:
 			t.removeLocked(ev.Prefix, ev.VantagePoint, true)
 		}
