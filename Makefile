@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-e2e soak fuzz fmt vet examples ci rib-fixture rib-measure fleet fleet-smoke fleet-corpus
+.PHONY: build test race bench bench-e2e soak fuzz fmt vet examples ci rib-fixture rib-measure fleet fleet-smoke fleet-corpus golden
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,12 @@ fleet:
 # PR-CI subset: full taxonomy, v4 only, one seed — a few seconds.
 fleet-smoke:
 	$(GO) run ./cmd/fleet -smoke -out '' -check fleet.gates
+
+# Rewrite the behaviour goldens (testdata/golden: the E1–E6 figures and
+# the fleet smoke scorecard) after an intended behaviour change; the
+# tier-1 tests diff against them.
+golden:
+	$(GO) test -run '^TestGolden' -count=1 -update .
 
 # Regenerate the checked-in detector-level replay corpus
 # (internal/fleet/testdata) after an intentional behavior change.

@@ -9,6 +9,7 @@ package artemis_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,161 +31,189 @@ func benchOpts(seed int64) experiment.Options {
 	return experiment.Options{Seed: seed, Topo: cfg}
 }
 
-// BenchmarkE1_EndToEnd reproduces §3's headline timeline: detection ≈45s,
-// trigger ≈15s, mitigation ≤5min, total ≈6min.
-func BenchmarkE1_EndToEnd(b *testing.B) {
-	var det, trig, mit, tot time.Duration
-	n := 0
-	for i := 0; i < b.N; i++ {
-		env, err := experiment.Build(benchOpts(int64(i + 1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr, err := experiment.RunTrial(env)
-		env.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !tr.Detected {
-			continue
-		}
-		det += tr.DetectionDelay
-		trig += tr.TriggerDelay
-		mit += tr.MitigationDelay
-		tot += tr.Total
-		n++
-	}
-	if n > 0 {
-		b.ReportMetric(det.Seconds()/float64(n), "detect-s")
-		b.ReportMetric(trig.Seconds()/float64(n), "trigger-s")
-		b.ReportMetric(mit.Seconds()/float64(n), "mitigate-s")
-		b.ReportMetric(tot.Seconds()/float64(n), "total-s")
-	}
+// metric is one figure a paper-experiment benchmark reports.
+type metric struct {
+	v    float64
+	unit string
 }
 
-// BenchmarkE2_PerSourceDetection reproduces §2's min-of-sources claim.
-func BenchmarkE2_PerSourceDetection(b *testing.B) {
+// paperExperiment is one arm of the paper's experiments E1–E6: run
+// executes n seeded trials and returns the figures the benchmark reports.
+// The E1–E6 benchmarks and the behaviour golden (golden_test.go) share
+// these definitions, so the golden checks what the benchmarks print.
+type paperExperiment struct {
+	name string // the benchmark's name without "Benchmark"
+	run  func(n int) ([]metric, error)
+}
+
+func runTrial(opts experiment.Options) (experiment.Trial, error) {
+	env, err := experiment.Build(opts)
+	if err != nil {
+		return experiment.Trial{}, err
+	}
+	defer env.Close()
+	return experiment.RunTrial(env)
+}
+
+// detectionMetrics reports the share of n trials detected and, when any
+// was, their mean detection delay (det summed over the detected ones).
+func detectionMetrics(det time.Duration, detected, n int) []metric {
+	ms := []metric{{float64(detected) / float64(n), "coverage"}}
+	if detected > 0 {
+		ms = append(ms, metric{det.Seconds() / float64(detected), "detect-s"})
+	}
+	return ms
+}
+
+func paperExperiments() []paperExperiment {
+	// E1 reproduces §3's headline timeline: detection ≈45s, trigger ≈15s,
+	// mitigation ≤5min, total ≈6min.
+	exps := []paperExperiment{{"E1_EndToEnd", func(n int) ([]metric, error) {
+		var det, trig, mit, tot time.Duration
+		detected := 0
+		for i := 0; i < n; i++ {
+			tr, err := runTrial(benchOpts(int64(i + 1)))
+			if err != nil {
+				return nil, err
+			}
+			if !tr.Detected {
+				continue
+			}
+			det += tr.DetectionDelay
+			trig += tr.TriggerDelay
+			mit += tr.MitigationDelay
+			tot += tr.Total
+			detected++
+		}
+		if detected == 0 {
+			return nil, nil
+		}
+		k := float64(detected)
+		return []metric{{det.Seconds() / k, "detect-s"}, {trig.Seconds() / k, "trigger-s"},
+			{mit.Seconds() / k, "mitigate-s"}, {tot.Seconds() / k, "total-s"}}, nil
+	}}}
+	// E2 reproduces §2's min-of-sources claim.
 	for _, src := range []string{experiment.SrcRIS, experiment.SrcBGPmon, experiment.SrcPeriscope, "combined"} {
-		src := src
-		b.Run(src, func(b *testing.B) {
-			var sum time.Duration
-			n := 0
-			for i := 0; i < b.N; i++ {
+		exps = append(exps, paperExperiment{"E2_PerSourceDetection/" + src, func(n int) ([]metric, error) {
+			var det time.Duration
+			detected := 0
+			for i := 0; i < n; i++ {
 				opts := benchOpts(int64(i + 100))
 				if src != "combined" {
 					opts.Sources = []string{src}
 				}
-				env, err := experiment.Build(opts)
+				tr, err := runTrial(opts)
 				if err != nil {
-					b.Fatal(err)
-				}
-				tr, err := experiment.RunTrial(env)
-				env.Close()
-				if err != nil {
-					b.Fatal(err)
+					return nil, err
 				}
 				if tr.Detected {
-					sum += tr.DetectionDelay
-					n++
+					det += tr.DetectionDelay
+					detected++
 				}
 			}
-			if n > 0 {
-				b.ReportMetric(sum.Seconds()/float64(n), "detect-s")
-			}
-			b.ReportMetric(float64(n)/float64(b.N), "coverage")
-		})
+			return detectionMetrics(det, detected, n), nil
+		}})
 	}
-}
-
-// BenchmarkE3_MonitoringTradeoff reproduces the §2 parametrization
-// trade-off: arsenal size vs overhead vs detection speed.
-func BenchmarkE3_MonitoringTradeoff(b *testing.B) {
+	// E3 reproduces the §2 parametrization trade-off: arsenal size vs
+	// overhead vs detection speed.
 	for _, lgs := range []int{2, 8, 32} {
-		lgs := lgs
-		b.Run(map[int]string{2: "lgs-2", 8: "lgs-8", 32: "lgs-32"}[lgs], func(b *testing.B) {
+		exps = append(exps, paperExperiment{fmt.Sprintf("E3_MonitoringTradeoff/lgs-%d", lgs), func(n int) ([]metric, error) {
 			var det time.Duration
-			queries, n := 0, 0
-			for i := 0; i < b.N; i++ {
+			detected, queries := 0, 0
+			for i := 0; i < n; i++ {
 				opts := benchOpts(int64(i + 200))
 				opts.Sources = []string{experiment.SrcPeriscope}
 				opts.LGCount = lgs
-				env, err := experiment.Build(opts)
+				tr, err := runTrial(opts)
 				if err != nil {
-					b.Fatal(err)
-				}
-				tr, err := experiment.RunTrial(env)
-				env.Close()
-				if err != nil {
-					b.Fatal(err)
+					return nil, err
 				}
 				queries += tr.LGQueries
 				if tr.Detected {
 					det += tr.DetectionDelay
-					n++
+					detected++
 				}
 			}
-			if n > 0 {
-				b.ReportMetric(det.Seconds()/float64(n), "detect-s")
-			}
-			b.ReportMetric(float64(n)/float64(b.N), "coverage")
-			b.ReportMetric(float64(queries)/float64(b.N), "queries/trial")
-		})
+			return append(detectionMetrics(det, detected, n), metric{float64(queries) / float64(n), "queries/trial"}), nil
+		}})
 	}
-}
-
-// BenchmarkE4_DeaggregationLimit reproduces the §2 caveat: /22 and /23
-// victims recover fully; a /24 victim cannot be out-specified.
-func BenchmarkE4_DeaggregationLimit(b *testing.B) {
+	// E4 reproduces the §2 caveat: /22 and /23 victims recover fully; a /24
+	// victim cannot be out-specified.
 	for _, bits := range []int{22, 23, 24} {
-		bits := bits
-		b.Run(map[int]string{22: "victim-22", 23: "victim-23", 24: "victim-24"}[bits], func(b *testing.B) {
+		exps = append(exps, paperExperiment{fmt.Sprintf("E4_DeaggregationLimit/victim-%d", bits), func(n int) ([]metric, error) {
 			var recovered float64
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < n; i++ {
 				opts := benchOpts(int64(i + 300))
 				opts.Owned = prefix.New(prefix.MustParseAddr("10.0.0.0"), bits)
-				env, err := experiment.Build(opts)
+				tr, err := runTrial(opts)
 				if err != nil {
-					b.Fatal(err)
-				}
-				tr, err := experiment.RunTrial(env)
-				env.Close()
-				if err != nil {
-					b.Fatal(err)
+					return nil, err
 				}
 				recovered += tr.RecoveredFrac
 			}
-			b.ReportMetric(recovered/float64(b.N), "recovered-frac")
-		})
+			return []metric{{recovered / float64(n), "recovered-frac"}}, nil
+		}})
+	}
+	// E5 reproduces §1's argument: the archive pipeline is
+	// minutes-to-hours slower, missing most short hijacks. E6 regenerates
+	// the §4 demo series. Both report their last iteration.
+	exps = append(exps, paperExperiment{"E5_BaselineComparison", func(n int) ([]metric, error) {
+		var ms []metric
+		for i := 0; i < n; i++ {
+			res, err := experiment.E5(2, benchOpts(int64(i+400)))
+			if err != nil {
+				return nil, err
+			}
+			ms = []metric{{res.ArtemisResponse.Mean.Seconds(), "artemis-s"}, {res.BaselineResponse.Mean.Seconds(), "baseline-s"},
+				{res.ArtemisCoverage, "artemis-coverage"}, {res.BaselineCoverage, "baseline-coverage"}}
+		}
+		return ms, nil
+	}}, paperExperiment{"E6_PropagationTimeline", func(n int) ([]metric, error) {
+		var ms []metric
+		for i := 0; i < n; i++ {
+			res, err := experiment.E6(benchOpts(int64(i + 500)))
+			if err != nil {
+				return nil, err
+			}
+			res.Env.Close()
+			ms = []metric{{float64(len(res.Points)), "samples"}, {res.Trial.Total.Seconds(), "total-s"}}
+		}
+		return ms, nil
+	}})
+	return exps
+}
+
+// benchPaper runs the named experiment's arms, each as a sub-benchmark
+// when the experiment has several.
+func benchPaper(b *testing.B, name string) {
+	for _, e := range paperExperiments() {
+		top, sub, _ := strings.Cut(e.name, "/")
+		if top != name {
+			continue
+		}
+		run := func(b *testing.B) {
+			ms, err := e.run(b.N)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, m := range ms {
+				b.ReportMetric(m.v, m.unit)
+			}
+		}
+		if sub == "" {
+			run(b)
+		} else {
+			b.Run(sub, run)
+		}
 	}
 }
 
-// BenchmarkE5_BaselineComparison reproduces §1's argument: the archive
-// pipeline is minutes-to-hours slower, missing most short hijacks.
-func BenchmarkE5_BaselineComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.E5(2, benchOpts(int64(i+400)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ArtemisResponse.Mean.Seconds(), "artemis-s")
-		b.ReportMetric(res.BaselineResponse.Mean.Seconds(), "baseline-s")
-		b.ReportMetric(res.ArtemisCoverage, "artemis-coverage")
-		b.ReportMetric(res.BaselineCoverage, "baseline-coverage")
-	}
-}
-
-// BenchmarkE6_PropagationTimeline regenerates the §4 demo series.
-func BenchmarkE6_PropagationTimeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.E6(benchOpts(int64(i + 500)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Env.Close()
-		b.ReportMetric(float64(len(res.Points)), "samples")
-		b.ReportMetric(res.Trial.Total.Seconds(), "total-s")
-	}
-}
+func BenchmarkE1_EndToEnd(b *testing.B)            { benchPaper(b, "E1_EndToEnd") }
+func BenchmarkE2_PerSourceDetection(b *testing.B)  { benchPaper(b, "E2_PerSourceDetection") }
+func BenchmarkE3_MonitoringTradeoff(b *testing.B)  { benchPaper(b, "E3_MonitoringTradeoff") }
+func BenchmarkE4_DeaggregationLimit(b *testing.B)  { benchPaper(b, "E4_DeaggregationLimit") }
+func BenchmarkE5_BaselineComparison(b *testing.B)  { benchPaper(b, "E5_BaselineComparison") }
+func BenchmarkE6_PropagationTimeline(b *testing.B) { benchPaper(b, "E6_PropagationTimeline") }
 
 // --- Ablations of design choices (DESIGN.md) ---
 
