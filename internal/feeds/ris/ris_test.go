@@ -248,3 +248,49 @@ func TestServerRejectsGarbageSubscription(t *testing.T) {
 		t.Fatal("server did not close garbage subscriber")
 	}
 }
+
+// TestServerDropWhilePublishing drops subscribers, by server close and by
+// client hang-up, while another goroutine keeps publishing to them. A
+// publish that snapshotted a subscriber before its drop still runs its
+// callback after it; that callback must not send on a closed channel.
+func TestServerDropWhilePublishing(t *testing.T) {
+	_, _, svc := setup(t)
+	srv := NewServer(svc)
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	defer srv.Close()
+	url := "ws://" + strings.TrimPrefix(hs.URL, "http://") + "/v1/ws"
+
+	stop := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		batch := []feedtypes.Event{{Source: SourceName, Kind: feedtypes.Announce,
+			Prefix: prefix.MustParse("10.0.0.0/24"), Path: []bgp.ASN{65001, 61000}}}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				svc.hub.Publish(batch)
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	for i := 0; i < 10; i++ {
+		client, err := DialClient(url, feedtypes.Filter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select { // the subscription is live once an event arrives
+		case <-client.Events():
+		case <-time.After(5 * time.Second):
+			t.Fatal("no event reached the subscriber")
+		}
+		if i%2 == 0 {
+			srv.Close()
+		}
+		client.Close()
+	}
+}

@@ -22,9 +22,14 @@ type Server struct {
 	conns map[*clientConn]bool
 }
 
+// clientConn is one subscriber. out is never closed: a hub publish that
+// snapshotted the subscription before drop may still run its callback
+// afterwards, so the callback and writeLoop select on done instead, which
+// drop closes once.
 type clientConn struct {
 	ws     *wsock.Conn
 	out    chan []byte
+	done   chan struct{}
 	cancel func()
 }
 
@@ -58,10 +63,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ws.Close()
 		return
 	}
-	cc := &clientConn{ws: ws, out: make(chan []byte, clientBuffer)}
+	cc := &clientConn{ws: ws, out: make(chan []byte, clientBuffer), done: make(chan struct{})}
 	cc.cancel = s.svc.Subscribe(filter, func(ev feedtypes.Event) {
 		select {
 		case cc.out <- AppendMessage(nil, ev):
+		case <-cc.done:
 		default:
 			// Client too slow; drop it. Closing the socket makes the
 			// writer loop exit and unsubscribe.
@@ -86,9 +92,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) writeLoop(cc *clientConn) {
-	for b := range cc.out {
-		if err := cc.ws.WriteMessage(wsock.OpText, b); err != nil {
-			s.drop(cc)
+	for {
+		select {
+		case b := <-cc.out:
+			if err := cc.ws.WriteMessage(wsock.OpText, b); err != nil {
+				s.drop(cc)
+				return
+			}
+		case <-cc.done:
 			return
 		}
 	}
@@ -104,7 +115,7 @@ func (s *Server) drop(cc *clientConn) {
 	s.mu.Unlock()
 	cc.cancel()
 	cc.ws.Close()
-	close(cc.out)
+	close(cc.done)
 }
 
 // Close disconnects all clients.
