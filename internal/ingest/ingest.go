@@ -646,12 +646,16 @@ func (s *Supervisor) Bounce(id SourceID) {
 	if !ok || src.cancel != nil {
 		return
 	}
+	// Read the connection and kick under one connMu hold. Kicking first
+	// would let the dial loop wake, redial and install a fresh connection
+	// before the read, and Bounce would close the connection its own kick
+	// produced, leaving the source degraded for a whole backoff.
+	src.connMu.Lock()
+	c := src.conn
 	select {
 	case src.kick <- struct{}{}:
 	default: // a kick is already pending
 	}
-	src.connMu.Lock()
-	c := src.conn
 	src.connMu.Unlock()
 	if c != nil {
 		c.Close()

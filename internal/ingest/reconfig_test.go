@@ -177,6 +177,47 @@ func TestBounceInterruptsBackoff(t *testing.T) {
 	waitFor(t, "healthy after bounce", func() bool { return sup.SourceState(id) == ingest.StateHealthy })
 }
 
+// gatedDialer fails its first dial and blocks every later one until
+// release is closed.
+type gatedDialer struct {
+	flakyDialer
+	release chan struct{}
+}
+
+func (d *gatedDialer) Dial() (ingest.Conn, error) {
+	if d.dialCount() > 0 {
+		<-d.release
+	}
+	return d.flakyDialer.Dial()
+}
+
+// TestBounceKeepsItsRedial: the connection a Bounce's kick dials must
+// survive that Bounce. The dialer blocks in Dial until Bounce has
+// returned, so the fresh connection appears only after Bounce is done
+// with the source: it must stay open, and the source must turn healthy
+// after exactly one redial instead of waiting out its hour of backoff.
+func TestBounceKeepsItsRedial(t *testing.T) {
+	var got collector
+	sup := ingest.New(got.deliver, ingest.Config{BackoffBase: time.Hour, BackoffMax: time.Hour, Seed: 1})
+	defer sup.Close()
+
+	d := &gatedDialer{flakyDialer: flakyDialer{failures: 1}, release: make(chan struct{})}
+	id := sup.AddDialer("gated", d)
+	waitFor(t, "degraded", func() bool { return sup.SourceState(id) == ingest.StateDegraded })
+
+	sup.Bounce(id)
+	close(d.release)
+	waitFor(t, "healthy after bounce", func() bool { return sup.SourceState(id) == ingest.StateHealthy })
+	select {
+	case <-d.lastConn().done:
+		t.Fatal("Bounce closed the connection its own kick dialled")
+	default:
+	}
+	if n := d.dialCount(); n != 2 {
+		t.Fatalf("%d dials, want 2 (the failed one and the bounce's redial)", n)
+	}
+}
+
 // TestPeriscopeDialer drives the REST polling dialer against a live
 // periscope.Server over a small simulated Internet: initial answers
 // arrive as announcements, a hijack shows up as a changed answer, and a
