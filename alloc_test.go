@@ -18,7 +18,7 @@ import (
 // TestSubmitSteadyStateAllocationFree asserts the tentpole contract
 // directly: once the pipeline's job pool and arenas have grown to the
 // workload's high-water mark, submitting a batch — deep copy, routing,
-// shard classification, sink apply — performs (amortized) at most one
+// classification, apply — performs (amortized) at most one
 // allocation per batch. The slack of 1 absorbs sync.Pool's GC-driven
 // refills; the structural claim is that nothing on the path allocates
 // per event or per batch.
@@ -26,7 +26,7 @@ func TestSubmitSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
 	det := core.NewDetector(pipelineBenchConfig(t))
-	pl := core.NewPipeline(det, nil, core.PipelineConfig{Shards: 4})
+	pl := core.NewPipeline(det, nil, core.PipelineConfig{})
 	defer pl.Close()
 
 	// Warm up: grow every pooled arena (and raise every alert the dedup
@@ -64,7 +64,7 @@ func TestSubmitSteadyStateAllocationFreeMultiTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := core.NewPipelineTable(table, core.PipelineConfig{Shards: 4})
+	pl := core.NewPipelineTable(table, core.PipelineConfig{})
 	defer pl.Close()
 
 	for off := 0; off+batchSize <= len(evs); off += batchSize {
@@ -96,7 +96,7 @@ func TestIngestSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
 	det := core.NewDetector(pipelineBenchConfig(t))
-	pl := core.NewPipeline(det, nil, core.PipelineConfig{Shards: 4})
+	pl := core.NewPipeline(det, nil, core.PipelineConfig{})
 	defer pl.Close()
 	sup := ingest.New(pl.Submit, ingest.Config{Synchronous: true, DedupTTL: -1})
 	defer sup.Close()
@@ -137,7 +137,7 @@ func TestRecordSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
 	det := core.NewDetector(pipelineBenchConfig(t))
-	pl := core.NewPipeline(det, nil, core.PipelineConfig{Shards: 4})
+	pl := core.NewPipeline(det, nil, core.PipelineConfig{})
 	defer pl.Close()
 	rec, err := eventlog.NewRecorder(eventlog.RecorderConfig{
 		Prefix:       filepath.Join(t.TempDir(), "cap"),

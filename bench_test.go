@@ -319,13 +319,13 @@ func BenchmarkAblation_PrefixIndex(b *testing.B) {
 	})
 }
 
-// --- Detection data path: serial vs sharded pipeline ---
+// --- Detection data path: serial vs pipeline ---
 
 // pipelineBenchConfig protects a realistically wide owned space — a /16
 // announced as 1024 /26s, the shape of a large operator protecting every
 // customer allocation — so the owned-space match has real work to do. The
 // serial path scans this list per event; the pipeline resolves it with one
-// trie LPM walk during shard routing and reuses the answer.
+// trie LPM walk during routing and reuses the answer.
 func pipelineBenchConfig(tb testing.TB) *core.Config {
 	owned, err := prefix.MustParse("10.0.0.0/16").Deaggregate(26)
 	if err != nil {
@@ -373,11 +373,9 @@ func pipelineWorkload(n int) []feedtypes.Event {
 	return evs
 }
 
-// BenchmarkDetectionBatchIngest is the pipeline's headline number: events
-// per second through classification for the serial reference path vs the
-// sharded pipeline at 1/4/8 shards. The 1-shard case isolates the
-// pipeline's fixed overhead (routing, scatter, sink); the 8-shard case
-// must beat serial.
+// BenchmarkDetectionBatchIngest is the pipeline's own number: events per
+// second through classification for the serial reference path vs the
+// pipeline (submit copy, ring hand-off, routing, classification, apply).
 func BenchmarkDetectionBatchIngest(b *testing.B) {
 	const (
 		workload  = 8192
@@ -396,22 +394,20 @@ func BenchmarkDetectionBatchIngest(b *testing.B) {
 		}
 		b.ReportMetric(float64(workload)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 	})
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			det := core.NewDetector(pipelineBenchConfig(b))
-			pl := core.NewPipeline(det, nil, core.PipelineConfig{Shards: shards})
-			defer pl.Close()
-			b.ReportAllocs() // the allocation-free-hot-path contract (docs/PERFORMANCE.md)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for off := 0; off < len(evs); off += batchSize {
-					pl.Submit(evs[off : off+batchSize])
-				}
-				pl.Flush()
+	b.Run("pipeline", func(b *testing.B) {
+		det := core.NewDetector(pipelineBenchConfig(b))
+		pl := core.NewPipeline(det, nil, core.PipelineConfig{})
+		defer pl.Close()
+		b.ReportAllocs() // the allocation-free-hot-path contract (docs/PERFORMANCE.md)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for off := 0; off < len(evs); off += batchSize {
+				pl.Submit(evs[off : off+batchSize])
 			}
-			b.ReportMetric(float64(workload)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
+			pl.Flush()
+		}
+		b.ReportMetric(float64(workload)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	})
 }
 
 // BenchmarkTenantFanOut measures the hosted multi-tenant shape: 1000
@@ -450,7 +446,7 @@ func BenchmarkTenantFanOut(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pl := core.NewPipelineTable(table, core.PipelineConfig{Shards: 4})
+			pl := core.NewPipelineTable(table, core.PipelineConfig{})
 			defer pl.Close()
 
 			owned := space[:tenants/fanout*perTenant]

@@ -1,6 +1,6 @@
 // artemisd is the ARTEMIS daemon: a thin shell over the embeddable
 // pkg/artemis API. It loads a declarative config file, applies flag
-// overrides, assembles a node (supervised multi-source ingest, sharded
+// overrides, assembles a node (supervised multi-source ingest, batched
 // detection pipeline, incremental monitor, bounded async mitigation) and
 // serves the versioned HTTP control plane — including /metrics and live
 // reconfiguration — until SIGINT/SIGTERM, then drains gracefully.

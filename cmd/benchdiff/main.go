@@ -72,8 +72,8 @@ func parse(path string) (metrics, []string, error) {
 	}
 	// Strip the -GOMAXPROCS suffix for cross-run key stability — but only
 	// when that doesn't merge two DIFFERENT benchmarks. With GOMAXPROCS=1
-	// Go omits the suffix, so "shards-1" is the full sub-benchmark name
-	// and stripping it would collapse "shards-1"/"shards-4" into "shards".
+	// Go omits the suffix, so "fanout-1" is the full sub-benchmark name
+	// and stripping it would collapse "fanout-1"/"fanout-4" into "fanout".
 	owner := map[string]string{} // stripped → raw name that claimed it
 	collides := map[string]bool{}
 	for _, e := range entries {

@@ -8,7 +8,7 @@
 // flowing, the operator uses the versioned HTTP control plane to:
 //
 //  1. hot-add a second owned prefix (POST /v1/prefixes), which atomically
-//     swaps the detector's routing trie, the pipeline's shard routing,
+//     swaps the detector's and the pipeline's routing tries,
 //     the monitor's probe set and the mitigation clamps, and re-scopes
 //     the live feed subscriptions;
 //

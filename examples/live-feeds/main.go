@@ -6,7 +6,7 @@
 // ARTEMIS instance connects to those servers as a *client* — exactly how
 // the daemon would run against external infrastructure: the ingest
 // supervisor owns both connections (reconnect, cross-source dedup,
-// per-source accounting), fans them into the sharded detection pipeline,
+// per-source accounting), fans them into the detection pipeline,
 // and mitigation flows back through the controller's REST API.
 //
 //	go run ./examples/live-feeds
@@ -102,7 +102,7 @@ func main() {
 	}
 	// The supervised ingest tier dials both servers, redials them if they
 	// drop, dedups route changes the two feeds both observe, and fans
-	// everything into the sharded pipeline.
+	// everything into the pipeline.
 	pl := core.NewPipeline(artemis.Detector, artemis.Monitor, core.PipelineConfig{})
 	defer pl.Close()
 	sup := ingest.New(pl.Submit, ingest.Config{})

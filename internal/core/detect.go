@@ -106,7 +106,6 @@ type Detector struct {
 	seen     *ttlset.Set[incidentKey]
 	alerts   []Alert
 	handlers []func(Alert)
-	cancels  []func()
 	// perSource counts matching events per source name (diagnostics and
 	// the E2 per-source experiment). Cardinality is bounded: beyond
 	// maxTrackedSources distinct names, counts fold into "other".
@@ -121,7 +120,7 @@ const maxTrackedSources = 64
 // otherSources is the overflow bucket once maxTrackedSources is reached.
 const otherSources = "other"
 
-// NewDetector builds the service; call Start to attach sources.
+// NewDetector builds the service; feed it with Process or ProcessBatch.
 func NewDetector(cfg *Config) *Detector {
 	d := &Detector{
 		seen:      ttlset.New[incidentKey](cfg.AlertDedupTTL, cfg.AlertDedupMax),
@@ -155,40 +154,13 @@ func (d *Detector) OnAlert(fn func(Alert)) {
 	d.handlers = append(d.handlers, fn)
 }
 
-// Start subscribes to the sources with a filter covering the owned space
-// in both directions (sub- and super-prefixes).
-func (d *Detector) Start(sources ...feedtypes.Source) {
-	filter := feedtypes.Filter{
-		Prefixes:     d.Config().OwnedPrefixes,
-		MoreSpecific: true,
-		LessSpecific: true,
-	}
-	for _, src := range sources {
-		cancel := src.Subscribe(filter, d.Process)
-		d.mu.Lock()
-		d.cancels = append(d.cancels, cancel)
-		d.mu.Unlock()
-	}
-}
-
-// Stop detaches from all sources.
-func (d *Detector) Stop() {
-	d.mu.Lock()
-	cancels := d.cancels
-	d.cancels = nil
-	d.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
-
 // classify is the pure (stateless, lock-free) detection stage: it decides
 // whether one feed event evidences a hijack of the owned space. counted
 // reports whether the event is a well-formed announcement (the per-source
 // diagnostics counter's criterion); isAlert reports whether alert carries
 // a hijack candidate. This serial form resolves the owned-space match with
-// a linear scan; the pipeline resolves it once per event during shard
-// routing (trie LPM) and calls classifyRouted directly.
+// a linear scan; the pipeline resolves it once per event during routing
+// (trie LPM) and calls classifyRouted directly.
 func (c *Config) classify(ev *feedtypes.Event) (alert Alert, counted, isAlert bool) {
 	if ev.Kind != feedtypes.Announce {
 		return Alert{}, false, false // withdrawals never signal a hijack by themselves
@@ -200,7 +172,7 @@ func (c *Config) classify(ev *feedtypes.Event) (alert Alert, counted, isAlert bo
 // classifyRouted is classify with the owned-space match already resolved
 // (rel == 0 means "no collision"). The pipeline's router finds the owned
 // prefix once per event via the prefix trie — a single LPM walk instead of
-// the serial path's linear scan over every owned prefix — and shards reuse
+// the serial path's linear scan over every owned prefix — and reuses
 // that answer here, so the expensive half of classification is not
 // repeated. For disjoint owned prefixes (the operational norm) the result
 // is identical to classify; with nested owned prefixes the router resolves

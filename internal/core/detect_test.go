@@ -189,7 +189,7 @@ func TestPathAnomalyWithPrepending(t *testing.T) {
 		})
 		t.Run("pipeline/"+tc.name, func(t *testing.T) {
 			d := NewDetector(cfg)
-			p := NewPipeline(d, nil, PipelineConfig{Shards: 2})
+			p := NewPipeline(d, nil, PipelineConfig{})
 			p.SubmitWait([]feedtypes.Event{announceEvent("10.0.0.0/23", tc.path...)})
 			p.Close()
 			alerts := d.Alerts()

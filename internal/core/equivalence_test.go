@@ -122,7 +122,7 @@ func TestSerialPipelineMitigationEquivalence(t *testing.T) {
 			pipeMit := NewMitigator(equivalenceConfig(), pipeAnn, now)
 			pipeQ := NewMitigationQueue(pipeMit.HandleAlert, MitigationQueueConfig{Depth: 2}, nil)
 			pipeDet.OnAlert(pipeQ.Enqueue)
-			p := NewPipeline(pipeDet, pipeMon, PipelineConfig{Shards: 4, QueueDepth: 4})
+			p := NewPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 4})
 			for i := 0; i < len(evs); i += 41 { // uneven batch boundaries
 				end := min(i+41, len(evs))
 				p.Submit(evs[i:end])

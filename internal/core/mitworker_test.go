@@ -26,7 +26,7 @@ func TestAsyncMitigationDoesNotStallSink(t *testing.T) {
 
 	det := NewDetector(multiOwnedConfig())
 	det.OnAlert(q.Enqueue)
-	p := NewPipeline(det, NewMonitor(multiOwnedConfig()), PipelineConfig{Shards: 2})
+	p := NewPipeline(det, NewMonitor(multiOwnedConfig()), PipelineConfig{})
 
 	mk := func(pfx string, origin bgp.ASN) feedtypes.Event {
 		return feedtypes.Event{

@@ -39,7 +39,6 @@ type Monitor struct {
 	mu      sync.Mutex
 	vps     map[bgp.ASN]*vpState
 	history []Sample
-	cancels []func()
 	probes  []prefix.Addr
 	// byAddr indexes probes in ascending address order so the probes a
 	// prefix covers resolve with one binary search.
@@ -295,30 +294,6 @@ func (m *Monitor) SetConfig(next *Config) {
 	}
 	if len(m.history) > 0 {
 		m.coalesceLocked(m.lastAt)
-	}
-}
-
-// Start subscribes the monitor to the sources.
-func (m *Monitor) Start(sources ...feedtypes.Source) {
-	m.mu.Lock()
-	filter := feedtypes.Filter{Prefixes: m.cfg.OwnedPrefixes, MoreSpecific: true, LessSpecific: true}
-	m.mu.Unlock()
-	for _, src := range sources {
-		cancel := src.Subscribe(filter, m.Process)
-		m.mu.Lock()
-		m.cancels = append(m.cancels, cancel)
-		m.mu.Unlock()
-	}
-}
-
-// Stop detaches from all sources.
-func (m *Monitor) Stop() {
-	m.mu.Lock()
-	cancels := m.cancels
-	m.cancels = nil
-	m.mu.Unlock()
-	for _, c := range cancels {
-		c()
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"artemis/internal/prefix"
 )
 
-// multiOwnedConfig spreads ownership over several prefixes so sharding has
-// something to key on.
+// multiOwnedConfig spreads ownership over several prefixes so routing has
+// something to tell apart.
 func multiOwnedConfig() *Config {
 	return &Config{
 		OwnedPrefixes: []prefix.Prefix{
@@ -24,36 +24,6 @@ func multiOwnedConfig() *Config {
 			prefix.MustParse("203.0.113.0/24"),
 		},
 		LegitOrigins: []bgp.ASN{61000},
-	}
-}
-
-func TestPipelineShardRouting(t *testing.T) {
-	cfg := multiOwnedConfig()
-	p := NewPipeline(NewDetector(cfg), nil, PipelineConfig{Shards: 3})
-	defer p.Close()
-
-	// Deterministic: the same prefix always routes to the same shard.
-	for _, s := range []string{"10.0.0.0/23", "10.0.1.0/24", "10.1.2.0/24", "10.0.0.0/8", "172.16.0.0/12"} {
-		pfx := prefix.MustParse(s)
-		want := p.shardFor(pfx)
-		for i := 0; i < 10; i++ {
-			if got := p.shardFor(pfx); got != want {
-				t.Fatalf("shardFor(%s) flapped: %d then %d", s, want, got)
-			}
-		}
-	}
-	// Everything under one owned prefix shares that prefix's shard.
-	ownedShard := p.shardFor(prefix.MustParse("10.0.0.0/23"))
-	for _, s := range []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.0.128/25", "10.0.1.192/26"} {
-		if got := p.shardFor(prefix.MustParse(s)); got != ownedShard {
-			t.Errorf("shardFor(%s) = %d, want owned prefix's shard %d", s, got, ownedShard)
-		}
-	}
-	// A covering super-prefix (squat evidence) routes to a shard of some
-	// owned prefix it covers — stably.
-	super := prefix.MustParse("10.0.0.0/15")
-	if got := p.shardFor(super); got != p.shardFor(super) {
-		t.Errorf("super-prefix routing unstable")
 	}
 }
 
@@ -114,7 +84,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 	pipeDet := NewDetector(multiOwnedConfig())
 	pipeMon := NewMonitor(multiOwnedConfig())
-	p := NewPipeline(pipeDet, pipeMon, PipelineConfig{Shards: 4, QueueDepth: 8})
+	p := NewPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 8})
 	for i := 0; i < len(evs); i += 37 { // uneven batch boundaries
 		end := min(i+37, len(evs))
 		p.SubmitWait(evs[i:end])
@@ -146,7 +116,7 @@ func TestPipelineAlertHandlerOrder(t *testing.T) {
 		order = append(order, a.Key())
 		mu.Unlock()
 	})
-	p := NewPipeline(det, nil, PipelineConfig{Shards: 4})
+	p := NewPipeline(det, nil, PipelineConfig{})
 
 	mk := func(pfx string, origin bgp.ASN) feedtypes.Event {
 		return feedtypes.Event{
@@ -183,7 +153,7 @@ func TestPipelineAlertHandlerOrder(t *testing.T) {
 // called must still be classified and applied.
 func TestPipelineCloseFlushesPending(t *testing.T) {
 	det := NewDetector(multiOwnedConfig())
-	p := NewPipeline(det, nil, PipelineConfig{Shards: 2, QueueDepth: 4})
+	p := NewPipeline(det, nil, PipelineConfig{QueueDepth: 4})
 	evs := mixedEvents(300)
 	for i := 0; i < len(evs); i += 10 {
 		p.Submit(evs[i : i+10]) // async: no waiting
@@ -222,7 +192,7 @@ func TestPipelineStress(t *testing.T) {
 	cfg := multiOwnedConfig()
 	det := NewDetector(cfg)
 	mon := NewMonitor(cfg)
-	p := NewPipeline(det, mon, PipelineConfig{Shards: 4, QueueDepth: 2})
+	p := NewPipeline(det, mon, PipelineConfig{QueueDepth: 2})
 
 	streams := make([][]feedtypes.Event, submitters)
 	for s := range streams {
@@ -259,12 +229,8 @@ func TestPipelineStress(t *testing.T) {
 	if snap.Submitted != snap.Applied {
 		t.Fatalf("flush incomplete: submitted %d applied %d", snap.Submitted, snap.Applied)
 	}
-	var shardEvents int64
-	for _, sh := range snap.Shards {
-		shardEvents += sh.Events
-	}
-	if shardEvents != snap.Events {
-		t.Fatalf("shards classified %d events, ingested %d", shardEvents, snap.Events)
+	if len(snap.Shards) != 1 || snap.Shards[0].Events != snap.Events {
+		t.Fatalf("worker classified %+v events, ingested %d", snap.Shards, snap.Events)
 	}
 	p.Close()
 
@@ -296,49 +262,4 @@ func TestPipelineStress(t *testing.T) {
 	if !reflect.DeepEqual(gotKeys, wantKeys) {
 		t.Fatalf("alert sets diverge: got %d want %d", len(gotKeys), len(wantKeys))
 	}
-}
-
-// TestPipelineSynchronousStart wires the pipeline to an in-process batch
-// source and checks that a publish returns only after its alerts are
-// visible — the property the virtual-time experiments rely on.
-func TestPipelineSynchronousStart(t *testing.T) {
-	cfg := multiOwnedConfig()
-	det := NewDetector(cfg)
-	p := NewPipeline(det, nil, PipelineConfig{Shards: 2, Synchronous: true})
-	defer p.Close()
-
-	hub := feedtypes.NewHub()
-	src := &hubSource{name: "ris", hub: hub}
-	p.Start(src)
-
-	hub.Publish([]feedtypes.Event{{
-		Source: "ris", VantagePoint: 1, Kind: feedtypes.Announce,
-		Prefix: prefix.MustParse("10.0.0.0/24"), Path: []bgp.ASN{1, 666},
-	}})
-	// Synchronous: the alert is committed by the time Publish returns.
-	if alerts := det.Alerts(); len(alerts) != 1 || alerts[0].Type != AlertSubPrefix {
-		t.Fatalf("alert not visible after synchronous publish: %+v", alerts)
-	}
-	// Out-of-filter publishes never reach the pipeline.
-	hub.Publish([]feedtypes.Event{{
-		Source: "ris", VantagePoint: 1, Kind: feedtypes.Announce,
-		Prefix: prefix.MustParse("172.16.0.0/16"), Path: []bgp.ASN{1, 666},
-	}})
-	p.Flush()
-	if got := p.Snapshot().Events; got != 1 {
-		t.Fatalf("pipeline ingested %d events, want 1 (filter leak)", got)
-	}
-}
-
-type hubSource struct {
-	name string
-	hub  *feedtypes.Hub
-}
-
-func (s *hubSource) Name() string { return s.name }
-func (s *hubSource) Subscribe(f feedtypes.Filter, fn func(feedtypes.Event)) func() {
-	return s.hub.Subscribe(f, fn)
-}
-func (s *hubSource) SubscribeBatch(f feedtypes.Filter, fn func([]feedtypes.Event)) func() {
-	return s.hub.SubscribeBatch(f, fn)
 }

@@ -88,7 +88,7 @@ func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 			pipeMit := NewMitigator(base, pipeAnn, now)
 			pipeQ := NewMitigationQueue(pipeMit.HandleAlert, MitigationQueueConfig{Depth: 2}, nil)
 			pipeDet.OnAlert(pipeQ.Enqueue)
-			p := NewPipeline(pipeDet, pipeMon, PipelineConfig{Shards: 4, QueueDepth: 4})
+			p := NewPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 4})
 			from = 0
 			for _, st := range stages {
 				for i := from; i < st.to; i += 37 { // uneven batch boundaries
@@ -147,7 +147,7 @@ func TestReconfigureConcurrentSubmitters(t *testing.T) {
 
 	det := NewDetector(cfgA)
 	mon := NewMonitor(cfgA)
-	p := NewPipeline(det, mon, PipelineConfig{Shards: 4, QueueDepth: 8})
+	p := NewPipeline(det, mon, PipelineConfig{QueueDepth: 8})
 
 	stop := make(chan struct{})
 	done := make(chan struct{})

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"artemis/internal/controller"
-	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/stats"
 )
 
@@ -283,23 +282,9 @@ func (s *Service) swapConfig(next *Config) {
 	s.cur.Store(next)
 }
 
-// Start attaches both the detector and the monitor to the sources.
-func (s *Service) Start(sources ...feedtypes.Source) {
-	s.Detector.Start(sources...)
-	s.Monitor.Start(sources...)
-}
-
-// Stop detaches everything from the sources. The mitigation queue keeps
-// running (manual mitigation stays possible); Close releases it.
-func (s *Service) Stop() {
-	s.Detector.Stop()
-	s.Monitor.Stop()
-}
-
-// Close stops the service and drains the mitigation queue: every alert
+// Close drains the mitigation queue: every alert
 // already accepted is handled before Close returns. Safe to call more
 // than once.
 func (s *Service) Close() {
-	s.Stop()
 	s.Mitigation.Close()
 }

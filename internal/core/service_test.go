@@ -7,6 +7,7 @@ import (
 
 	"artemis/internal/bgp"
 	"artemis/internal/controller"
+	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/feeds/ris"
 	"artemis/internal/peering"
 	"artemis/internal/prefix"
@@ -14,6 +15,14 @@ import (
 	"artemis/internal/simnet"
 	"artemis/internal/topo"
 )
+
+// attach subscribes svc's detector and monitor to feed, filtered to the
+// owned space in both directions as a node's ingest filters it.
+func attach(svc *Service, feed feedtypes.Source) {
+	f := feedtypes.Filter{Prefixes: svc.CurrentConfig().OwnedPrefixes, MoreSpecific: true, LessSpecific: true}
+	feed.Subscribe(f, svc.Detector.Process)
+	feed.Subscribe(f, svc.Monitor.Process)
+}
 
 // TestEndToEndDetectAndMitigate runs the paper's §3 protocol on a small
 // deterministic topology: announce, hijack, detect via a feed, mitigate
@@ -54,7 +63,7 @@ func TestEndToEndDetectAndMitigate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	artemis.Start(feed)
+	attach(artemis, feed)
 
 	// Phase 1: victim announces, wait for convergence.
 	victim.Announce(nw, owned)
@@ -119,7 +128,7 @@ func TestManualMitigationMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Start(feed)
+	attach(svc, feed)
 	nw.Announce(topo.FirstASN, prefix.MustParse("10.0.0.0/23"))
 	eng.Run()
 	nw.Announce(topo.FirstASN+1, prefix.MustParse("10.0.0.0/23")) // hijack
@@ -136,7 +145,7 @@ func TestManualMitigationMode(t *testing.T) {
 	if len(svc.Mitigator.Records()) != 1 {
 		t.Fatal("manual mitigation did not run")
 	}
-	svc.Stop()
+	svc.Close()
 }
 
 // flakyInjector fails every announce until the failure budget is spent —
@@ -212,25 +221,5 @@ func TestServiceRetryBounded(t *testing.T) {
 func TestServiceRejectsBadConfig(t *testing.T) {
 	if _, err := NewService(&Config{}, nil, func() time.Duration { return 0 }); err == nil {
 		t.Fatal("empty config accepted")
-	}
-}
-
-func TestServiceStopDetaches(t *testing.T) {
-	tp := topo.Line(3, time.Millisecond)
-	eng := sim.NewEngine(1)
-	nw := simnet.New(tp, eng, simnet.Config{MRAI: simnet.Disabled, ProcMin: time.Millisecond, ProcMax: 2 * time.Millisecond})
-	inj, _ := controller.NewSimInjector(nw, topo.FirstASN)
-	ctrl := controller.NewSim(nw, inj)
-	feed := ris.New(nw, []ris.CollectorConfig{{Name: "c", Peers: []bgp.ASN{topo.FirstASN + 2}, BatchDelay: time.Second}})
-	svc, _ := NewService(&Config{
-		OwnedPrefixes: []prefix.Prefix{prefix.MustParse("10.0.0.0/23")},
-		LegitOrigins:  []bgp.ASN{topo.FirstASN},
-	}, ctrl, eng.Now)
-	svc.Start(feed)
-	svc.Stop()
-	nw.Announce(topo.FirstASN+1, prefix.MustParse("10.0.0.0/23"))
-	eng.Run()
-	if len(svc.Detector.Alerts()) != 0 {
-		t.Fatal("detector still attached after Stop")
 	}
 }

@@ -92,7 +92,7 @@ func TestMultiTenantEquivalence(t *testing.T) {
 			indep := map[string]*tenantHarness{}
 			for _, name := range names {
 				h := newTenantHarness(tenantConfigs()[name])
-				p := NewPipeline(h.det, h.mon, PipelineConfig{Shards: 4, QueueDepth: 4})
+				p := NewPipeline(h.det, h.mon, PipelineConfig{QueueDepth: 4})
 				filter := feedtypes.Filter{
 					Prefixes:     h.cfg.OwnedPrefixes,
 					MoreSpecific: true,
@@ -127,7 +127,7 @@ func TestMultiTenantEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := NewPipelineTable(table, PipelineConfig{Shards: 4, QueueDepth: 4})
+			p := NewPipelineTable(table, PipelineConfig{QueueDepth: 4})
 			for i := 0; i < len(evs); i += 41 {
 				p.Submit(evs[i:min(i+41, len(evs))])
 			}
@@ -179,7 +179,7 @@ func TestMultiTenantReconfigureOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipelineTable(table, PipelineConfig{Shards: 2})
+	p := NewPipelineTable(table, PipelineConfig{})
 	defer p.Close()
 
 	p.SubmitWait([]feedtypes.Event{announceEvent("10.0.0.0/24", 1001, 666)})
@@ -203,7 +203,7 @@ func TestMultiTenantReconfigureOne(t *testing.T) {
 	if got := len(b.det.Alerts()); got != 2 {
 		t.Fatalf("bravo alerts after alpha's reconfigure = %d, want 2", got)
 	}
-	if got := p.Table().Runtime("bravo").Events(); got != bravoEvents+1 {
+	if got := p.table.Runtime("bravo").Events(); got != bravoEvents+1 {
 		t.Fatalf("bravo runtime did not carry across the swap: %d -> %d", bravoEvents, got)
 	}
 }
@@ -243,7 +243,7 @@ func TestNoisyTenantQuotaIsolation(t *testing.T) {
 		}
 		reported += n
 	})
-	p := NewPipelineTable(table, PipelineConfig{Shards: 4})
+	p := NewPipelineTable(table, PipelineConfig{})
 
 	// Half a second of a 10k events/sec hijack storm against the noisy
 	// tenant, with the quiet tenant's trickle interleaved on the same

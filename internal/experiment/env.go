@@ -161,10 +161,11 @@ type Env struct {
 	Partner *peering.VirtualAS
 	Ctrl    *controller.Controller
 	Artemis *core.Service
-	// Pipeline is the sharded detection data path the trials run against;
-	// it feeds both the detector and the monitor. Synchronous mode keeps
-	// virtual-time semantics: a feed's publish returns only once its
-	// consequences (alerts, mitigation scheduling) are in place.
+	// Pipeline is the detection data path the trials run against; it
+	// feeds both the detector and the monitor. Ingest delivers with
+	// SubmitWait, which keeps virtual-time semantics: a feed's publish
+	// returns only once its consequences (alerts, mitigation scheduling)
+	// are in place.
 	Pipeline *core.Pipeline
 	// Ingest is the supervised fan-in tier between the feeds and the
 	// pipeline: cross-source dedup (the same route change seen by
@@ -340,10 +341,7 @@ func Build(opts Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.Pipeline = core.NewPipeline(env.Artemis.Detector, env.Artemis.Monitor, core.PipelineConfig{
-		Shards:      4,
-		Synchronous: true,
-	})
+	env.Pipeline = core.NewPipeline(env.Artemis.Detector, env.Artemis.Monitor, core.PipelineConfig{})
 	// Route config swaps through the pipeline barrier, so a mid-incident
 	// Reconfigure lands at a well-defined serial position in the stream.
 	env.Artemis.BindPipeline(env.Pipeline)

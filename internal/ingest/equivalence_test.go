@@ -182,7 +182,7 @@ func TestMultiSourceFanInMatchesSerialDedupedUnion(t *testing.T) {
 				fanMit := core.NewMitigator(equivConfig(), fanAnn, now)
 				fanQ := core.NewMitigationQueue(fanMit.HandleAlert, core.MitigationQueueConfig{Synchronous: true}, nil)
 				fanDet.OnAlert(fanQ.Enqueue)
-				pl := core.NewPipeline(fanDet, fanMon, core.PipelineConfig{Shards: 4, QueueDepth: 4})
+				pl := core.NewPipeline(fanDet, fanMon, core.PipelineConfig{QueueDepth: 4})
 				sup := ingest.New(pl.SubmitWait, ingest.Config{Synchronous: true, DedupTTL: 24 * time.Hour})
 				hubs := make([]hubSource, k)
 				for s := 0; s < k; s++ {
@@ -315,7 +315,7 @@ func TestAsyncFanInConvergesToSameIncidents(t *testing.T) {
 
 	fanDet := core.NewDetector(equivConfig())
 	fanMon := core.NewMonitor(equivConfig())
-	pl := core.NewPipeline(fanDet, fanMon, core.PipelineConfig{Shards: 4})
+	pl := core.NewPipeline(fanDet, fanMon, core.PipelineConfig{})
 	sup := ingest.New(pl.Submit, ingest.Config{QueueDepth: 1 << 10, DedupTTL: 24 * time.Hour})
 
 	// Pre-chunk each source's stream and replay all of them concurrently

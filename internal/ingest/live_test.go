@@ -216,7 +216,7 @@ func TestSoakFlappingFeeds(t *testing.T) {
 	}
 	det := core.NewDetector(cfg)
 	mon := core.NewMonitor(cfg)
-	pl := core.NewPipeline(det, mon, core.PipelineConfig{Shards: 2})
+	pl := core.NewPipeline(det, mon, core.PipelineConfig{})
 	defer pl.Close()
 	sup := ingest.New(pl.Submit, ingest.Config{
 		QueueDepth:  32,

@@ -1,7 +1,6 @@
 // Package ring provides the bounded single-producer/single-consumer
-// queue used on the event hot path: the per-shard task queues of the
-// detection pipeline and the per-source batch queues of the ingest
-// supervisor. It replaces Go channels (internally a mutex-guarded
+// queue used on the event hot path: the job queue of the detection
+// pipeline and the per-source batch queues of the ingest supervisor. It replaces Go channels (internally a mutex-guarded
 // circular buffer) on paths where the producer and consumer are known
 // and allocation-free steady-state operation is required: a Ring never
 // allocates after construction, and the uncontended Push/Pop fast path
@@ -15,8 +14,8 @@
 //
 //   - The producer side (Push, TryPush, Close) must be serialized by the
 //     caller: one goroutine, or several goroutines holding a caller-owned
-//     lock. The pipeline serializes submitters with a per-shard mutex;
-//     the ingest supervisor's producer is the single dial-reader
+//     lock. The pipeline serializes its submitters with a mutex; the
+//     ingest supervisor's producer is the single dial-reader
 //     goroutine (or hub callbacks under the source's queue lock).
 //   - The consumer side (Pop, TryPop) must likewise be serialized; in
 //     this repo every ring has exactly one consumer goroutine.

@@ -20,21 +20,21 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// ShardSnapshot is one detection-pipeline shard's counters at a point in
-// time: cumulative throughput plus instantaneous queue depth, the two
-// numbers needed to spot a hot shard (skewed prefix ownership) or a
-// backpressured one (queue pinned at capacity).
+// ShardSnapshot is the detection pipeline worker's counters at a point in
+// time (the worker reports as shard 0): cumulative throughput plus
+// instantaneous queue depth, which shows a backpressured pipeline (queue
+// pinned at capacity).
 type ShardSnapshot struct {
-	// Shard is the shard index.
+	// Shard is the shard label, 0.
 	Shard int
-	// Events is the cumulative number of events this shard classified.
+	// Events is the cumulative number of events the worker classified.
 	Events int64
-	// Batches is the cumulative number of sub-batches it processed.
+	// Batches is the cumulative number of batches it processed.
 	Batches int64
-	// QueueLen is the number of sub-batches currently waiting; QueueCap is
+	// QueueLen is the number of batches currently waiting; QueueCap is
 	// the bound that triggers backpressure.
 	QueueLen, QueueCap int
-	// Service is the distribution of this shard's per-sub-batch
+	// Service is the distribution of the worker's per-batch routing and
 	// classification time.
 	Service HistogramSnapshot
 }
@@ -52,7 +52,7 @@ type PipelineSnapshot struct {
 	// SinkApply is the distribution of the sink's per-batch apply time
 	// (alert commit + handler dispatch + monitor fold).
 	SinkApply HistogramSnapshot
-	// Shards holds the per-shard view.
+	// Shards holds the worker's view, one entry.
 	Shards []ShardSnapshot
 }
 

@@ -19,7 +19,7 @@ var DefaultLatencyBuckets = []time.Duration{
 }
 
 // Histogram is a concurrency-safe duration histogram for hot-path
-// instrumentation (queue waits, per-shard service times). Like Counter it
+// instrumentation (queue waits, pipeline service times). Like Counter it
 // is written on the data path itself: one atomic add per observation, no
 // locks, no allocation. Bucket bounds are fixed at construction; an
 // implicit +Inf bucket catches the overflow.

@@ -114,10 +114,8 @@ type MitigationConfig struct {
 	Manual bool `json:"manual,omitempty"`
 }
 
-// TuningConfig bounds the daemon's state and concurrency.
+// TuningConfig bounds the daemon's queues and state.
 type TuningConfig struct {
-	// Shards is the detection pipeline's worker count (default: GOMAXPROCS).
-	Shards int `json:"shards,omitempty"`
 	// SourceQueue bounds each feed source's pending-batch queue (default 64).
 	SourceQueue int `json:"source_queue,omitempty"`
 	// DedupTTL is the cross-source dedup window (default 10m; negative
@@ -550,8 +548,7 @@ func (d *configDecoder) decode(root *yamlNode) *Config {
 		cfg.Record.QueueDepth = d.optInt(n, "queue-depth")
 	}
 	if n := root.child("tuning"); n != nil && d.isMap(n, "tuning") {
-		d.checkKeys(n, "shards", "source-queue", "dedup-ttl", "alert-ttl", "alert-dedup-max", "max-mitigation-retries")
-		cfg.Tuning.Shards = d.optInt(n, "shards")
+		d.checkKeys(n, "source-queue", "dedup-ttl", "alert-ttl", "alert-dedup-max", "max-mitigation-retries")
 		cfg.Tuning.SourceQueue = d.optInt(n, "source-queue")
 		cfg.Tuning.DedupTTL = d.optDuration(n, "dedup-ttl")
 		cfg.Tuning.AlertTTL = d.optDuration(n, "alert-ttl")

@@ -39,7 +39,6 @@ mitigation:
   max-deagg-len6: 48
 
 tuning:
-  shards: 4
   source-queue: 128
   dedup-ttl: 10m
   alert-ttl: 24h
@@ -78,7 +77,7 @@ func TestParseConfigFull(t *testing.T) {
 		cfg.Mitigation.QueueDepth != 32 {
 		t.Fatalf("mitigation: %+v", cfg.Mitigation)
 	}
-	if cfg.Tuning.Shards != 4 || cfg.Tuning.DedupTTL.Std() != 10*time.Minute ||
+	if cfg.Tuning.SourceQueue != 128 || cfg.Tuning.DedupTTL.Std() != 10*time.Minute ||
 		cfg.Tuning.AlertTTL.Std() != 24*time.Hour || cfg.Tuning.AlertDedupMax != 65536 {
 		t.Fatalf("tuning: %+v", cfg.Tuning)
 	}
@@ -142,6 +141,14 @@ func TestParseConfigErrorPositions(t *testing.T) {
 			yaml:    "prefixes: [10.0.0.0/23]\norigins: [1]\nsources:\n  - type: carrier-pigeon\n",
 			wantPos: "t.yaml:4:",
 			wantMsg: "unknown source type",
+		},
+		{
+			// The pipeline has one worker; the old shard knob is an
+			// unknown key like any other.
+			name:    "removed tuning key",
+			yaml:    "prefixes: [10.0.0.0/23]\norigins: [1]\ntuning:\n  shards: 4\n",
+			wantPos: "t.yaml:4:",
+			wantMsg: `unknown key "shards"`,
 		},
 		{
 			name:    "bad duration",

@@ -224,7 +224,7 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 	table.OnQuotaDrop(n.publishQuotaDrop)
 	n.table = table
 	n.union.Store(table.UnionFilter())
-	n.pl = core.NewPipelineTable(table, core.PipelineConfig{Shards: cfg.Tuning.Shards})
+	n.pl = core.NewPipelineTable(table, core.PipelineConfig{})
 	for name, ts := range n.tenants {
 		ts.svc.BindReconfigureVia(n.tenantBarrier(name))
 	}
