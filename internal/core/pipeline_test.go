@@ -183,6 +183,7 @@ func TestPipelineCloseFlushesPending(t *testing.T) {
 // TestPipelineStress drives ≥10k events from concurrent submitters through
 // a small-queue pipeline (forcing backpressure) under -race, and checks
 // conservation: every event counted, totals matching a serial reference.
+// Half the submitters use SubmitWait.
 func TestPipelineStress(t *testing.T) {
 	const (
 		submitters = 8
@@ -212,10 +213,14 @@ func TestPipelineStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for s := 0; s < submitters; s++ {
 		wg.Add(1)
+		submit := p.Submit
+		if s%2 == 1 {
+			submit = p.SubmitWait
+		}
 		go func(evs []feedtypes.Event) {
 			defer wg.Done()
 			for i := 0; i < len(evs); i += batchSize {
-				p.Submit(evs[i : i+batchSize])
+				submit(evs[i : i+batchSize])
 			}
 		}(streams[s])
 	}

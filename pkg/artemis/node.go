@@ -2,7 +2,7 @@
 // reproduction (conf_sigcomm_ChaviarasGSD16): self-operated BGP hijack
 // detection and mitigation for the network that owns the prefixes.
 //
-// A Node assembles the whole stack — sharded detection pipeline,
+// A Node assembles the whole stack — batched detection pipeline,
 // incremental monitor, bounded async mitigation, supervised multi-source
 // ingest — behind one declarative Config and a Run(ctx)/Drain lifecycle:
 //
@@ -14,7 +14,7 @@
 //
 // Everything is live-reconfigurable while traffic flows: owned prefixes
 // and origins (AddPrefixes/RemovePrefixes/SetOrigins swap the detector's
-// routing trie, the pipeline's shard routing, the monitor's probe set and
+// routing trie, the pipeline's routing trie, the monitor's probe set and
 // the mitigation clamps atomically, at a well-defined serial position in
 // the event stream) and monitoring sources (AddSource/RemoveSource ride
 // the ingest supervisor's hot add/remove). The sibling package
@@ -969,8 +969,8 @@ func (n *Node) retableLocked(order []string, tenants map[string]*tenantState) er
 // ReplaceConfig atomically replaces the whole declarative configuration:
 // tenant membership and scopes, sources, and the hot-tunable bounds
 // (alert dedup TTL/size, mitigation retries, per-tenant limits) all
-// swap live; construction-time fields (mitigation southbound, shard
-// count, source queues) are stored and persisted but only take effect on
+// swap live; construction-time fields (mitigation southbound, source
+// queues) are stored and persisted but only take effect on
 // restart. This is POST /v1/config — and, with a state file, how a
 // hosted deployment's whole tenant store is replaced and survives
 // restarts.

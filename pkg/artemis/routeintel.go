@@ -85,7 +85,7 @@ func (n *Node) refreshRPKILoop(ctx context.Context, url string, every time.Durat
 // setROATable installs a new ROA table: the pointer swaps for future
 // tenant construction, and every live tenant reconfigures to a config
 // snapshot carrying it — each swap an atomic pipeline barrier, so the
-// serial/sharded equivalence argument is untouched by refreshes.
+// serial/pipeline equivalence argument is untouched by refreshes.
 func (n *Node) setROATable(tb *rpki.Table) {
 	n.roas.Store(tb)
 	n.mu.Lock()
