@@ -282,9 +282,8 @@ func (s *Service) swapConfig(next *Config) {
 	s.cur.Store(next)
 }
 
-// Close drains the mitigation queue: every alert
-// already accepted is handled before Close returns. Safe to call more
-// than once.
+// Close drains the mitigation queue: every alert already accepted is
+// handled before Close returns. Safe to call more than once.
 func (s *Service) Close() {
 	s.Mitigation.Close()
 }
