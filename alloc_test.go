@@ -89,16 +89,16 @@ func TestSubmitSteadyStateAllocationFreeMultiTenant(t *testing.T) {
 }
 
 // TestIngestSteadyStateAllocationFree asserts the same contract for the
-// supervised fan-in path: hub publish → pooled queue copy → ring →
-// dedup → pipeline. The in-process source delivers synchronously here so
-// AllocsPerRun observes the whole path on one goroutine.
+// supervised fan-in path: hub publish → dedup → pipeline. In-process
+// sources deliver inline, so AllocsPerRun observes the whole path on one
+// goroutine.
 func TestIngestSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
 	det := core.NewDetector(pipelineBenchConfig(t))
 	pl := core.NewPipeline(det, nil, core.PipelineConfig{})
 	defer pl.Close()
-	sup := ingest.New(pl.Submit, ingest.Config{Synchronous: true, DedupTTL: -1})
+	sup := ingest.New(pl.Submit, ingest.Config{DedupTTL: -1})
 	defer sup.Close()
 	hub := feedtypes.NewHub()
 	sup.AddSource("bench", hubSource{Hub: hub, name: "bench"}, feedtypes.Filter{})
@@ -152,7 +152,7 @@ func TestRecordSteadyStateAllocationFree(t *testing.T) {
 		pl.Submit(evs)
 		rec.Record(evs)
 	}
-	sup := ingest.New(deliver, ingest.Config{Synchronous: true, DedupTTL: -1})
+	sup := ingest.New(deliver, ingest.Config{DedupTTL: -1})
 	defer sup.Close()
 	hub := feedtypes.NewHub()
 	sup.AddSource("bench", hubSource{Hub: hub, name: "bench"}, feedtypes.Filter{})

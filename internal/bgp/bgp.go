@@ -2,11 +2,11 @@
 // AS number support (RFC 6793): message framing, the four message types,
 // and the standard path attributes.
 //
-// The codec is used by every data path in the reproduction: the bgpd
-// speaker frames these messages over TCP, the MRT archive (internal/bgp/mrt)
-// embeds them in dump records, and the simulated feeds decode them back.
-// Unknown path attributes are preserved as raw bytes so that a speaker can
-// forward what it does not understand, as the RFC requires for optional
+// The codec is used by every data path in the reproduction: the MRT
+// archive (internal/bgp/mrt) and BMP (internal/bgp/bmp) embed these
+// messages, and the simulated feeds decode them back. Unknown path
+// attributes are preserved as raw bytes so that a speaker can forward
+// what it does not understand, as the RFC requires for optional
 // transitive attributes.
 package bgp
 

@@ -5,7 +5,7 @@
 // a configuration latency (the ~15 s the paper measured between detection
 // and the de-aggregated announcements leaving the routers), and pushes the
 // routes through a southbound — the simulated AS node in experiments, or a
-// live bgpd session in the demo.
+// REST controller client in the live daemon.
 package controller
 
 import (
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"artemis/internal/bgp"
-	"artemis/internal/bgpd"
 	"artemis/internal/prefix"
 	"artemis/internal/simnet"
 	"artemis/internal/stats"
@@ -212,44 +211,6 @@ func (s *SimInjector) AnnounceRoute(p prefix.Prefix) error {
 func (s *SimInjector) WithdrawRoute(p prefix.Prefix) error {
 	for _, asn := range s.ases {
 		if err := s.nw.Withdraw(asn, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BGPInjector originates routes by sending UPDATEs over live bgpd
-// sessions to the AS's border routers.
-type BGPInjector struct {
-	mu       sync.Mutex
-	sessions []*bgpd.Session
-	localAS  bgp.ASN
-	nextHop  prefix.Addr
-}
-
-// NewBGPInjector wraps established sessions.
-func NewBGPInjector(localAS bgp.ASN, nextHop prefix.Addr, sessions ...*bgpd.Session) *BGPInjector {
-	return &BGPInjector{sessions: sessions, localAS: localAS, nextHop: nextHop}
-}
-
-// AnnounceRoute implements RouteInjector over BGP.
-func (b *BGPInjector) AnnounceRoute(p prefix.Prefix) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, s := range b.sessions {
-		if err := s.Announce([]bgp.ASN{b.localAS}, b.nextHop, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WithdrawRoute implements RouteInjector over BGP.
-func (b *BGPInjector) WithdrawRoute(p prefix.Prefix) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, s := range b.sessions {
-		if err := s.WithdrawPrefixes(p); err != nil {
 			return err
 		}
 	}

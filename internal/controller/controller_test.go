@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"artemis/internal/bgp"
-	"artemis/internal/bgpd"
 	"artemis/internal/prefix"
 	"artemis/internal/sim"
 	"artemis/internal/simnet"
@@ -175,57 +174,5 @@ func TestRESTServerRejectsGarbage(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q → HTTP %d, want 400", body, resp.StatusCode)
 		}
-	}
-}
-
-func TestBGPInjectorSendsUpdates(t *testing.T) {
-	got := make(chan int, 4)
-	l, err := bgpd.Listen("127.0.0.1:0", bgpd.Config{LocalAS: 65001, RouterID: prefix.AddrFrom4(1)}, func(s *bgpd.Session) {
-		go func() {
-			for u := range s.Updates() {
-				got <- len(u.NLRI) + len(u.Withdrawn)
-			}
-		}()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	sess, err := bgpd.Dial(l.Addr(), bgpd.Config{LocalAS: 196615, RouterID: prefix.AddrFrom4(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	inj := NewBGPInjector(196615, prefix.MustParseAddr("192.0.2.1"), sess)
-	ctrl := NewReal(inj, WithConfigDelay(10*time.Millisecond))
-	// The peer can read the UPDATE before the controller's timer callback
-	// records the action, so the action is awaited through OnResult, not
-	// read straight after the UPDATE arrives.
-	applied := make(chan Action, 1)
-	ctrl.OnResult(func(a Action) { applied <- a })
-	p := prefix.MustParse("10.0.0.0/24")
-	if err := ctrl.Announce(p); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case n := <-got:
-		if n != 1 {
-			t.Fatalf("update carried %d prefixes", n)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("BGP update not delivered")
-	}
-	select {
-	case a := <-applied:
-		if a.Failed() {
-			t.Fatalf("announce failed: %v", a.Err)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("announce result not reported")
-	}
-	acts := ctrl.Actions()
-	if len(acts) != 1 {
-		t.Fatalf("actions = %+v", acts)
 	}
 }

@@ -143,12 +143,12 @@ func (c *Config) Validate() error {
 	if c.MitigationRatePerMin < 0 {
 		return fmt.Errorf("core: negative MitigationRatePerMin %d", c.MitigationRatePerMin)
 	}
-	for i, p := range c.OwnedPrefixes {
-		for j, q := range c.OwnedPrefixes {
-			if i != j && p == q {
-				return fmt.Errorf("core: duplicate owned prefix %s", p)
-			}
+	seen := make(map[prefix.Prefix]struct{}, len(c.OwnedPrefixes))
+	for _, p := range c.OwnedPrefixes {
+		if _, dup := seen[p]; dup {
+			return fmt.Errorf("core: duplicate owned prefix %s", p)
 		}
+		seen[p] = struct{}{}
 	}
 	return nil
 }

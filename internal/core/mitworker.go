@@ -10,7 +10,7 @@ import (
 // MitigationQueue decouples alert handling from the goroutine that raises
 // alerts. The detection pipeline's sink commits alerts and dispatches
 // handlers inline; before this stage existed, a slow controller southbound
-// (a REST call, a bgpd session) stalled the sink and therefore the whole
+// (a slow REST call) stalled the sink and therefore the whole
 // ingest path. The queue gives mitigation its own goroutine behind a
 // bounded, ordered channel:
 //

@@ -21,7 +21,7 @@ type reconfigStage struct {
 }
 
 // swapSerial applies a config snapshot to raw serial components the same
-// way Service.swapConfig does.
+// way Service.SwapConfig does.
 func swapSerial(det *Detector, mon *Monitor, mit *Mitigator, next *Config) {
 	det.setConfig(next)
 	mon.SetConfig(next)

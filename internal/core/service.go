@@ -35,12 +35,12 @@ type Service struct {
 	// cur is the active configuration snapshot; Reconfigure swaps it.
 	cur atomic.Pointer[Config]
 	// reconfigMu serializes Reconfigure calls; pl is the bound pipeline
-	// whose barrier mechanism gives reconfiguration its serial position
-	// (or reconfigureVia, when a host owns a shared multi-tenant pipeline).
-	reconfigMu     sync.Mutex
-	plMu           sync.Mutex
-	pl             *Pipeline
-	reconfigureVia func(next *Config, onApply func())
+	// whose barrier mechanism gives reconfiguration its serial position.
+	// A host owning a shared multi-tenant pipeline binds none and calls
+	// SwapConfig at its own barrier instead.
+	reconfigMu sync.Mutex
+	plMu       sync.Mutex
+	pl         *Pipeline
 
 	// now clocks the mitigation rate limiter (wall clock in daemons, the
 	// engine clock in experiments).
@@ -166,17 +166,6 @@ func (s *Service) BindPipeline(pl *Pipeline) {
 	s.plMu.Unlock()
 }
 
-// BindReconfigureVia registers a custom barrier executor: fn must install
-// next at a well-defined serial position and run onApply there (the
-// multi-tenant host does this by rebuilding the shared policy table and
-// calling Pipeline.ReconfigureTable). It takes precedence over a bound
-// pipeline.
-func (s *Service) BindReconfigureVia(fn func(next *Config, onApply func())) {
-	s.plMu.Lock()
-	s.reconfigureVia = fn
-	s.plMu.Unlock()
-}
-
 func (s *Service) boundPipeline() *Pipeline {
 	s.plMu.Lock()
 	defer s.plMu.Unlock()
@@ -232,12 +221,14 @@ func (s *Service) OnMitigationDrop(fn func(Alert)) {
 func (s *Service) CurrentConfig() *Config { return s.cur.Load() }
 
 // Reconfigure validates next and atomically swaps the whole service —
-// detector classification, pipeline shard routing, monitor probe set and
+// detector classification, pipeline routing, monitor probe set and
 // mitigation clamps — to it. With a bound pipeline the swap happens at a
-// barrier in the sink's serial order (see Pipeline.Reconfigure for the
+// barrier in the worker's serial order (see Pipeline.Reconfigure for the
 // equivalence argument) and Reconfigure returns once it has been applied;
-// without one it happens immediately. next is cloned, so the caller may
-// keep mutating its copy. Reconfigure must not be called from an alert
+// without one it happens immediately. A multi-tenant host binds no
+// pipeline and never calls Reconfigure: it swaps a whole policy table and
+// calls SwapConfig at that table's barrier. next is cloned, so the caller
+// may keep mutating its copy. Reconfigure must not be called from an alert
 // handler or another callback running on the pipeline's sink goroutine.
 //
 // Hot-tunable alongside the prefix/origin/upstream sets: the
@@ -257,25 +248,21 @@ func (s *Service) Reconfigure(next *Config) error {
 	}
 	s.reconfigMu.Lock()
 	defer s.reconfigMu.Unlock()
-	s.plMu.Lock()
-	via, pl := s.reconfigureVia, s.pl
-	s.plMu.Unlock()
-	if via != nil {
-		via(next, func() { s.swapConfig(next) })
+	if pl := s.boundPipeline(); pl != nil {
+		pl.Reconfigure(next, func() { s.SwapConfig(next) })
 		return nil
 	}
-	if pl != nil {
-		pl.Reconfigure(next, func() { s.swapConfig(next) })
-		return nil
-	}
-	s.swapConfig(next)
+	s.SwapConfig(next)
 	return nil
 }
 
-// swapConfig applies a validated snapshot to every subsystem. It runs
-// either inline (serial mode) or on the pipeline's sink goroutine (at the
-// reconfiguration barrier's sequence position).
-func (s *Service) swapConfig(next *Config) {
+// SwapConfig applies a validated snapshot to every subsystem, with no
+// barrier of its own. Reconfigure runs it inline (serial mode) or on the
+// pipeline's worker at the barrier's serial position; a host that owns a
+// shared multi-tenant pipeline runs it from the onApply of its own
+// Pipeline.ReconfigureTable, so every tenant it retunes swaps at that one
+// position. next must carry the service's self-announcement registry.
+func (s *Service) SwapConfig(next *Config) {
 	s.Detector.setConfig(next)
 	s.Monitor.SetConfig(next)
 	s.Mitigator.setConfig(next)

@@ -170,8 +170,8 @@ type Env struct {
 	// Ingest is the supervised fan-in tier between the feeds and the
 	// pipeline: cross-source dedup (the same route change seen by
 	// overlapping vantage points via several feeds is classified once,
-	// first delivery wins) and per-source accounting. Synchronous like
-	// the pipeline, so virtual-time semantics hold end to end.
+	// first delivery wins) and per-source accounting. In-process sources
+	// deliver inline, so virtual-time semantics hold end to end.
 	Ingest *ingest.Supervisor
 
 	RIS       *ris.Service
@@ -354,9 +354,8 @@ func Build(opts Options) (*Env, error) {
 		}
 	}
 	env.Ingest = ingest.New(deliver, ingest.Config{
-		Synchronous: true,
-		Seed:        opts.Seed,
-		AutoWiden:   opts.SplitCoverage,
+		Seed:      opts.Seed,
+		AutoWiden: opts.SplitCoverage,
 	})
 	env.SourceIDs = make(map[string]ingest.SourceID, len(env.Sources))
 	for i, src := range env.Sources {

@@ -23,7 +23,7 @@ func watch(p string) feedtypes.Filter {
 func TestAutoWidenInProcessResubscribes(t *testing.T) {
 	var got collector
 	sup := ingest.New(got.deliver, ingest.Config{
-		Synchronous: true, AutoWiden: true, DedupTTL: -1,
+		AutoWiden: true, DedupTTL: -1,
 	})
 	defer sup.Close()
 
@@ -61,7 +61,7 @@ func TestAutoWidenInProcessResubscribes(t *testing.T) {
 func TestAutoWidenDialDeathBouncesSurvivors(t *testing.T) {
 	var got collector
 	sup := ingest.New(got.deliver, ingest.Config{
-		Synchronous: true, AutoWiden: true, DedupTTL: -1,
+		AutoWiden: true, DedupTTL: -1,
 		BackoffBase: time.Millisecond, MaxRetries: 2,
 	})
 	defer sup.Close()
@@ -104,7 +104,7 @@ func TestAutoWidenDialDeathBouncesSurvivors(t *testing.T) {
 func TestAutoWidenNoOpWhenCovered(t *testing.T) {
 	var got collector
 	sup := ingest.New(got.deliver, ingest.Config{
-		Synchronous: true, AutoWiden: true, DedupTTL: -1,
+		AutoWiden: true, DedupTTL: -1,
 	})
 	defer sup.Close()
 

@@ -183,7 +183,7 @@ func TestMultiSourceFanInMatchesSerialDedupedUnion(t *testing.T) {
 				fanQ := core.NewMitigationQueue(fanMit.HandleAlert, core.MitigationQueueConfig{Synchronous: true}, nil)
 				fanDet.OnAlert(fanQ.Enqueue)
 				pl := core.NewPipeline(fanDet, fanMon, core.PipelineConfig{QueueDepth: 4})
-				sup := ingest.New(pl.SubmitWait, ingest.Config{Synchronous: true, DedupTTL: 24 * time.Hour})
+				sup := ingest.New(pl.SubmitWait, ingest.Config{DedupTTL: 24 * time.Hour})
 				hubs := make([]hubSource, k)
 				for s := 0; s < k; s++ {
 					hubs[s] = hubSource{feedtypes.NewHub(), fmt.Sprintf("feed%d", s)}

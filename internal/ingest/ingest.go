@@ -15,8 +15,8 @@
 //     adding sources reduces detection delay instead of multiplying sink
 //     load. The seen-set is a bounded, TTL'd cache (internal/ttlset).
 //   - Per-source backpressure accounting and an explicit drop policy:
-//     each source owns a bounded queue and sheds its own load when it
-//     falls behind; a stalled or flapping source never stalls the
+//     each dial source owns a bounded queue and sheds its own load when
+//     it falls behind; a stalled or flapping source never stalls the
 //     pipeline or its sibling sources.
 //   - Per-source counters and histograms (events, batches, dedup hits,
 //     drops, reconnects, delivery latency EmittedAt-SeenAt), exported
@@ -131,12 +131,6 @@ type Config struct {
 	// MaxRetries bounds consecutive failed connection attempts before a
 	// source is declared dead (0 = retry forever).
 	MaxRetries int
-	// Synchronous makes in-process sources (AddSource) deliver inline on
-	// the publisher's goroutine — no queue, no supervisor goroutines.
-	// The virtual-time experiments need this: an event's consequences
-	// must be in place when the feed's publish returns. Dial sources are
-	// unaffected.
-	Synchronous bool
 	// Seed seeds the backoff jitter (0 → 1); tests pin it for
 	// reproducible schedules.
 	Seed int64
@@ -192,19 +186,18 @@ func (c Config) withDefaults() Config {
 type SourceID int
 
 // Supervisor fans N feed sources into one delivery function (typically
-// core.Pipeline.Submit, or SubmitWait in synchronous trials). It is safe
-// for concurrent use.
+// core.Pipeline.Submit, or SubmitWait in the virtual-time trials). It is
+// safe for concurrent use.
 type Supervisor struct {
 	deliver func([]feedtypes.Event)
 	cfg     Config
 
 	dedup *dedupCache // nil when disabled
 
-	// pool recycles the queued copies: every batch accepted into a source
-	// queue is first deep-copied (events and AS paths) into a pooled
-	// batch, because the producer's storage — a feed's pooled publish
-	// batch, or a Conn's reused Recv buffer — is only valid for the
-	// duration of the callback. The forwarder releases each copy after
+	// pool recycles the queued copies: every batch accepted into a dial
+	// source's queue is first deep-copied (events and AS paths) into a
+	// pooled batch, because a Conn's reused Recv buffer is only valid
+	// until the next Recv. The forwarder releases each copy after
 	// delivery, so at steady state the fan-in path allocates nothing.
 	pool *feedtypes.BatchPool
 
@@ -219,8 +212,8 @@ type Supervisor struct {
 }
 
 // New builds a supervisor delivering into deliver. deliver is called from
-// per-source goroutines (or inline from publishers in Synchronous mode)
-// and must be safe for concurrent use; the pipeline's Submit/SubmitWait
+// dial sources' goroutines and inline from in-process publishers, and
+// must be safe for concurrent use; the pipeline's Submit/SubmitWait
 // both are. The slice passed to deliver is only valid for the duration of
 // the call — the supervisor reuses its buffers — so a deliver that needs
 // the events afterwards must copy them (the pipeline does).
@@ -285,13 +278,10 @@ type source struct {
 	eff       feedtypes.Filter
 	hasFilter bool
 
-	// qmu guards qclosed for producers that outlive their cancel call
-	// (hub callbacks may still be in flight when Remove returns), and
-	// serializes those callbacks into the ring's single logical producer.
-	qmu     sync.Mutex
-	qclosed bool
-	// queue is an SPSC ring of pooled batch copies; the forwarder is its
-	// only consumer and releases each batch after delivery.
+	// queue is a dial source's SPSC ring of pooled batch copies (nil for
+	// in-process sources, which deliver inline): the reader is its only
+	// producer, the forwarder its only consumer, releasing each batch
+	// after delivery.
 	queue *ring.Ring[*feedtypes.Batch]
 
 	events, batches, dedupHits, drops, reconnects, rateShed stats.Counter
@@ -423,7 +413,6 @@ func (s *Supervisor) newSource(name string) *source {
 		name:     name,
 		stop:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
-		queue:    ring.New[*feedtypes.Batch](s.cfg.QueueDepth),
 		latency:  stats.NewHistogram(),
 		onHealth: s.cfg.OnHealth,
 	}
@@ -471,15 +460,9 @@ func (s *Supervisor) widenFrom(dead *source) {
 			f := src.eff
 			f.Prefixes = append([]prefix.Prefix(nil), f.Prefixes...)
 			sub := src
-			if s.cfg.Synchronous {
-				src.cancel = subscribeBatches(src.feed, f, func(batch []feedtypes.Event) {
-					s.deliverBatch(sub, batch)
-				})
-			} else {
-				src.cancel = subscribeBatches(src.feed, f, func(batch []feedtypes.Event) {
-					s.enqueueGuarded(sub, batch)
-				})
-			}
+			src.cancel = subscribeBatches(src.feed, f, func(batch []feedtypes.Event) {
+				s.deliverBatch(sub, batch)
+			})
 		} else if src.cancel == nil {
 			bounce = append(bounce, src.id)
 		}
@@ -564,6 +547,7 @@ func (s *Supervisor) registerLocked(src *source, goroutines int) bool {
 // already closed.
 func (s *Supervisor) AddDialer(name string, d Dialer, opts ...SourceOption) SourceID {
 	src := s.newSource(name)
+	src.queue = ring.New[*feedtypes.Batch](s.cfg.QueueDepth)
 	for _, o := range opts {
 		o(src)
 	}
@@ -580,14 +564,15 @@ func (s *Supervisor) AddDialer(name string, d Dialer, opts ...SourceOption) Sour
 
 // AddSource supervises an in-process feed (anything implementing
 // feedtypes.Source; batch-capable sources are subscribed batch-wise).
-// In Synchronous mode delivery happens inline on the publisher's
-// goroutine; otherwise batches flow through the source's bounded queue
-// like a dial source's. Returns -1 if the supervisor is already closed.
+// Delivery happens inline on the publisher's goroutine — no queue, no
+// supervisor goroutines — so an event's consequences are in place when
+// the feed's publish returns, which the virtual-time experiments rely
+// on. Returns -1 if the supervisor is already closed.
 //
 // The subscription is made (and src.cancel assigned) under the
 // supervisor lock, before a concurrent Close/Remove can observe the
 // source — otherwise they could see a nil cancel and leave the
-// subscription attached (and the forward goroutine waiting) forever.
+// subscription attached forever.
 func (s *Supervisor) AddSource(name string, feed feedtypes.Source, f feedtypes.Filter) SourceID {
 	src := s.newSource(name)
 	src.feed = feed
@@ -595,28 +580,14 @@ func (s *Supervisor) AddSource(name string, feed feedtypes.Source, f feedtypes.F
 	src.eff.Prefixes = append([]prefix.Prefix(nil), f.Prefixes...)
 	src.hasFilter = true
 	s.mu.Lock()
-	if s.cfg.Synchronous {
-		if !s.registerLocked(src, 0) {
-			s.mu.Unlock()
-			return -1
-		}
-		src.setState(StateHealthy)
-		src.cancel = subscribeBatches(feed, f, func(batch []feedtypes.Event) {
-			s.deliverBatch(src, batch)
-		})
-		s.mu.Unlock()
-		return src.id
-	}
-	if !s.registerLocked(src, 1) {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if !s.registerLocked(src, 0) {
 		return -1
 	}
 	src.setState(StateHealthy)
 	src.cancel = subscribeBatches(feed, f, func(batch []feedtypes.Event) {
-		s.enqueueGuarded(src, batch)
+		s.deliverBatch(src, batch)
 	})
-	s.mu.Unlock()
-	go s.forward(src)
 	return src.id
 }
 
@@ -663,8 +634,8 @@ func (s *Supervisor) Bounce(id SourceID) {
 }
 
 // Remove hot-removes a source: its connection is closed (or subscription
-// cancelled), queued batches still drain, and it disappears from future
-// snapshots. Unknown ids are no-ops.
+// cancelled), a dial source's queued batches still drain, and it
+// disappears from future snapshots. Unknown ids are no-ops.
 func (s *Supervisor) Remove(id SourceID) {
 	s.mu.Lock()
 	src, ok := s.sources[id]
@@ -682,10 +653,9 @@ func (s *Supervisor) Remove(id SourceID) {
 func (s *Supervisor) stopSource(src *source) {
 	src.stopOnce.Do(func() { close(src.stop) })
 	if src.cancel != nil {
-		// In-process source: detach from the hub, then retire the queue.
-		// Publishes already in flight are absorbed by the qclosed guard.
+		// In-process source: detach from the hub. A publish already in
+		// flight still delivers inline, as it would have a moment earlier.
 		src.cancel()
-		src.closeQueue()
 		src.setState(StateDead)
 		return
 	}
@@ -727,7 +697,7 @@ func (s *Supervisor) Wait() { s.wg.Wait() }
 // not inherit an outage's ceiling.
 func (s *Supervisor) runDial(src *source, d Dialer) {
 	defer s.wg.Done()
-	defer src.closeQueue()
+	defer src.queue.Close()
 	backoff := s.cfg.BackoffBase
 	fails := 0
 	attempt := 0
@@ -835,10 +805,9 @@ func (s *Supervisor) stream(src *source, conn Conn) (delivered bool, err error) 
 	}
 }
 
-// copyIn snapshots batch into a pooled batch the queue can own: the
-// producer's storage (a Conn's reused Recv buffer, a feed's pooled
-// publish batch) is only valid for the duration of the callback, and the
-// queue outlives it. This copy is what fixes the old retained-batch bug:
+// copyIn snapshots batch into a pooled batch the queue can own: a Conn's
+// reused Recv buffer is only valid until the next Recv, and the queue
+// outlives it. This copy is what fixes the old retained-batch bug:
 // the queue used to hold the producer's slice itself, which a pooling
 // producer would overwrite before the forwarder delivered it.
 func (s *Supervisor) copyIn(batch []feedtypes.Event) *feedtypes.Batch {
@@ -848,7 +817,7 @@ func (s *Supervisor) copyIn(batch []feedtypes.Event) *feedtypes.Batch {
 }
 
 // enqueue applies the source's queue policy. Only the dial reader calls
-// it, so it never races with the reader's own closeQueue.
+// it, so it never races with the reader's own queue.Close.
 func (s *Supervisor) enqueue(src *source, batch []feedtypes.Event) {
 	b := s.copyIn(batch)
 	if src.blocking {
@@ -869,33 +838,6 @@ func (s *Supervisor) enqueue(src *source, batch []feedtypes.Event) {
 		src.drops.Add(int64(len(batch)))
 		b.Release()
 	}
-}
-
-// enqueueGuarded is the in-process variant: hub callbacks may run
-// concurrently with Remove (and with each other, when several publishers
-// share a hub), so the closed check and the push are under one lock —
-// which also makes the callbacks the ring's single logical producer.
-func (s *Supervisor) enqueueGuarded(src *source, batch []feedtypes.Event) {
-	src.qmu.Lock()
-	defer src.qmu.Unlock()
-	if src.qclosed {
-		src.drops.Add(int64(len(batch)))
-		return
-	}
-	b := s.copyIn(batch)
-	if !src.queue.TryPush(b) {
-		src.drops.Add(int64(len(batch)))
-		b.Release()
-	}
-}
-
-func (src *source) closeQueue() {
-	src.qmu.Lock()
-	if !src.qclosed {
-		src.qclosed = true
-		src.queue.Close()
-	}
-	src.qmu.Unlock()
 }
 
 // sleep waits d unless the source is stopped first. A Bounce during the
@@ -951,8 +893,8 @@ func (s *Supervisor) forward(src *source) {
 }
 
 // deliverBatch runs the delivery path without buffer reuse — the inline
-// (synchronous in-process) entry point, where concurrent publishers may
-// share the source.
+// in-process entry point, where concurrent publishers may share the
+// source.
 func (s *Supervisor) deliverBatch(src *source, batch []feedtypes.Event) {
 	s.deliverBatchBuf(src, batch, nil)
 }
@@ -999,6 +941,10 @@ func (s *Supervisor) Snapshot() stats.IngestSnapshot {
 		snap.DedupSize = s.dedup.size()
 	}
 	for _, src := range srcs {
+		var qlen, qcap int
+		if src.queue != nil {
+			qlen, qcap = src.queue.Len(), src.queue.Cap()
+		}
 		snap.Sources = append(snap.Sources, stats.IngestSourceSnapshot{
 			ID:         int(src.id),
 			Name:       src.name,
@@ -1009,8 +955,8 @@ func (s *Supervisor) Snapshot() stats.IngestSnapshot {
 			Drops:      src.drops.Load(),
 			RateShed:   src.rateShed.Load(),
 			Reconnects: src.reconnects.Load(),
-			QueueLen:   src.queue.Len(),
-			QueueCap:   src.queue.Cap(),
+			QueueLen:   qlen,
+			QueueCap:   qcap,
 			Latency:    src.latency.Snapshot(),
 		})
 	}

@@ -317,7 +317,7 @@ func TestCloseDuringInFlightBatches(t *testing.T) {
 
 func TestSynchronousDedupFirstWins(t *testing.T) {
 	var got collector
-	sup := ingest.New(got.deliver, ingest.Config{Synchronous: true, DedupTTL: time.Minute})
+	sup := ingest.New(got.deliver, ingest.Config{DedupTTL: time.Minute})
 	defer sup.Close()
 
 	a := hubSource{feedtypes.NewHub(), "a"}
@@ -370,7 +370,7 @@ func TestSynchronousDedupFirstWins(t *testing.T) {
 
 func TestHotAddRemove(t *testing.T) {
 	var got collector
-	sup := ingest.New(got.deliver, ingest.Config{Synchronous: true})
+	sup := ingest.New(got.deliver, ingest.Config{})
 	defer sup.Close()
 
 	h := hubSource{feedtypes.NewHub(), "h"}
@@ -455,7 +455,7 @@ func TestAddAfterCloseRejected(t *testing.T) {
 }
 
 func TestSnapshotNamesAndIDsStable(t *testing.T) {
-	sup := ingest.New(func([]feedtypes.Event) {}, ingest.Config{Synchronous: true})
+	sup := ingest.New(func([]feedtypes.Event) {}, ingest.Config{})
 	defer sup.Close()
 	var ids []ingest.SourceID
 	for i := 0; i < 4; i++ {

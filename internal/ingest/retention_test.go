@@ -15,9 +15,8 @@ import (
 
 // These are the regression tests for the queued-batch retention bug: the
 // supervisor's per-source queue used to hold the producer's own slice,
-// so a producer that recycles its batch storage — a feed releasing its
-// pooled publish batch, a Conn reusing its Recv buffer — would overwrite
-// events the forwarder had not yet delivered. Poisoning released batches
+// so a producer that recycles its batch storage — a Conn reusing its Recv
+// buffer — would overwrite events the forwarder had not yet delivered. Poisoning released batches
 // turns that corruption deterministic: if the queue retains producer
 // storage, the collector observes PoisonPrefix/PoisonASN sentinels
 // instead of the published events.
@@ -39,9 +38,11 @@ func checkNotPoisoned(t *testing.T, evs []feedtypes.Event) {
 }
 
 // TestQueuedBatchSurvivesPublisherRelease publishes pooled, poisoned
-// batches through a hub into an asynchronous in-process source, releasing
-// each batch the moment Publish returns — exactly the feed lifecycle. The
-// supervisor's queue must deliver intact copies, not the recycled storage.
+// batches through a hub into an in-process source, releasing each batch
+// the moment Publish returns — exactly the feed lifecycle. In-process
+// sources deliver inline, so every batch must reach deliver intact before
+// Publish returns and its storage is recycled; nothing may be delivered
+// from recycled storage afterwards.
 func TestQueuedBatchSurvivesPublisherRelease(t *testing.T) {
 	var got collector
 	sup := ingest.New(got.deliver, ingest.Config{QueueDepth: 64, DedupTTL: -1})

@@ -12,13 +12,15 @@
 //	go consume(sub.C)
 //	err = node.Run(ctx) // blocks; drains gracefully on ctx cancel
 //
-// Everything is live-reconfigurable while traffic flows: owned prefixes
-// and origins (AddPrefixes/RemovePrefixes/SetOrigins swap the detector's
-// routing trie, the pipeline's routing trie, the monitor's probe set and
-// the mitigation clamps atomically, at a well-defined serial position in
-// the event stream) and monitoring sources (AddSource/RemoveSource ride
-// the ingest supervisor's hot add/remove). The sibling package
-// pkg/artemis/control serves this API over versioned HTTP.
+// Everything is live-reconfigurable while traffic flows. Every change to
+// owned prefixes, origins, neighbor policy, limits, tenants or the whole
+// config (and every ROA refresh) is an edit of the declarative config,
+// applied as one policy-table swap at one pipeline barrier: each event
+// is classified wholly under the old configuration or wholly under the
+// new one, whatever the tenant count, and a rejected change changes
+// nothing. Monitoring sources (AddSource/RemoveSource) ride the ingest
+// supervisor's hot add/remove. The sibling package pkg/artemis/control
+// serves this API over versioned HTTP.
 //
 // # Multi-tenancy
 //
@@ -43,6 +45,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -145,7 +148,6 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 	}
 	cfg = cfg.Clone()
 	n := &Node{
-		cfg:        cfg,
 		bus:        newEventBus(),
 		tenants:    make(map[string]*tenantState),
 		sources:    make(map[string]sourceEntry),
@@ -196,37 +198,12 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 	}
 
 	// One service stack per tenant, all classifying on one shared
-	// pipeline under one policy table.
-	policies := make([]core.TenantPolicy, 0, 1+len(cfg.Tenants))
-	closeTenants := func() {
-		for _, ts := range n.tenants {
-			ts.svc.Close()
-		}
+	// pipeline under one policy table: the first apply builds them.
+	if err := n.applyLocked(cfg); err != nil {
 		if n.rec != nil {
 			n.rec.Close()
 		}
-	}
-	for _, sc := range cfg.scopes() {
-		ts, pol, err := n.newTenant(sc, cfg)
-		if err != nil {
-			closeTenants()
-			return nil, err
-		}
-		n.tenants[sc.Name] = ts
-		n.order = append(n.order, sc.Name)
-		policies = append(policies, pol)
-	}
-	table, err := core.NewPolicyTable(policies)
-	if err != nil {
-		closeTenants()
 		return nil, err
-	}
-	table.OnQuotaDrop(n.publishQuotaDrop)
-	n.table = table
-	n.union.Store(table.UnionFilter())
-	n.pl = core.NewPipelineTable(table, core.PipelineConfig{})
-	for name, ts := range n.tenants {
-		ts.svc.BindReconfigureVia(n.tenantBarrier(name))
 	}
 	n.sup = ingest.New(n.deliver, ingest.Config{
 		QueueDepth: cfg.Tuning.SourceQueue,
@@ -242,7 +219,7 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 	specs := n.cfg.Sources
 	n.cfg.Sources = nil
 	for _, spec := range specs {
-		if _, err := n.AddSource(spec); err != nil {
+		if _, err := n.addSourceLocked(spec); err != nil {
 			n.shutdown()
 			return nil, err
 		}
@@ -250,22 +227,15 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 	return n, nil
 }
 
-// newTenant builds one tenant's service stack and its policy-table entry.
-func (n *Node) newTenant(sc TenantSpec, cfg *Config) (*tenantState, core.TenantPolicy, error) {
-	ccfg, err := lowerScope(sc, cfg)
-	if err != nil {
-		return nil, core.TenantPolicy{}, err
-	}
-	ccfg.ManualMitigation = n.manual
-	ccfg.RPKI = n.roas.Load()
+// newTenant builds one tenant's service stack over its lowered config.
+func (n *Node) newTenant(name string, ccfg *core.Config, queueDepth int) (*tenantState, error) {
 	ctrl := controller.New(n.inj, n.now,
 		func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
 		controller.WithConfigDelay(n.ctrlDelay))
-	svc, err := core.NewService(ccfg, ctrl, n.now, core.WithAsyncMitigation(cfg.Mitigation.QueueDepth))
+	svc, err := core.NewService(ccfg, ctrl, n.now, core.WithAsyncMitigation(queueDepth))
 	if err != nil {
-		return nil, core.TenantPolicy{}, err
+		return nil, err
 	}
-	name := sc.Name
 	svc.Detector.OnAlert(func(a core.Alert) {
 		pub := alertFromCore(a)
 		pub.Tenant = name
@@ -295,28 +265,7 @@ func (n *Node) newTenant(sc TenantSpec, cfg *Config) (*tenantState, core.TenantP
 		n.bus.publish(Event{Kind: KindLimit, Tenant: name,
 			Limit: &LimitEvent{Tenant: name, Limit: "mitigation-rate", Count: 1}})
 	})
-	ts := &tenantState{name: name, svc: svc, ctrl: ctrl}
-	pol := core.TenantPolicy{Name: name, Config: ccfg, Detector: svc.Detector, Monitor: svc.Monitor}
-	return ts, pol, nil
-}
-
-// tenantBarrier is the reconfiguration executor bound to one tenant's
-// service: derive the next shared policy table (this tenant's config
-// replaced, everything else carried over) and swap it at the pipeline's
-// sink barrier. It always runs with n.mu held — every tenant Reconfigure
-// call comes from a node mutation path.
-func (n *Node) tenantBarrier(name string) func(next *core.Config, onApply func()) {
-	return func(next *core.Config, onApply func()) {
-		i := slices.Index(n.order, name)
-		if i < 0 {
-			onApply() // tenant was removed; nothing routes to it anymore
-			return
-		}
-		nt := n.table.WithConfig(i, next)
-		n.table = nt
-		n.union.Store(nt.UnionFilter())
-		n.pl.ReconfigureTable(nt, onApply)
-	}
+	return &tenantState{name: name, svc: svc, ctrl: ctrl}, nil
 }
 
 // publishQuotaDrop surfaces a batch's per-tenant classification-quota
@@ -386,16 +335,19 @@ func mutateScope(cfg *Config, tenant string, mutate func(*TenantSpec) error) err
 	return fmt.Errorf("artemis: unknown tenant %q", tenant)
 }
 
-// lowerScope lowers one tenant scope plus the shared tuning to the
-// core's typed config.
-func lowerScope(sc TenantSpec, cfg *Config) (*core.Config, error) {
+// lower lowers one tenant scope plus the shared tuning to the core's
+// typed config, with the node's fixed mitigation wiring and its current
+// ROA table.
+func (n *Node) lower(sc TenantSpec, cfg *Config) (*core.Config, error) {
 	ccfg := &core.Config{
 		MaxDeaggregationLen:  cfg.Mitigation.MaxDeaggLen,
 		MaxDeaggregationLen6: cfg.Mitigation.MaxDeaggLen6,
+		ManualMitigation:     n.manual,
 		AlertDedupTTL:        cfg.Tuning.AlertTTL.Std(),
 		AlertDedupMax:        cfg.Tuning.AlertDedupMax,
 		MaxMitigationRetries: cfg.Tuning.MaxMitigationRetries,
 		MaxEventsPerSecond:   sc.Limits.MaxEventsPerSec,
+		RPKI:                 n.roas.Load(),
 		MitigationRatePerMin: sc.Limits.MitigationRatePerMin,
 	}
 	switch {
@@ -684,7 +636,7 @@ func (n *Node) shutdown() {
 
 // AddPrefixes hot-adds owned prefixes (canonical or parseable text form)
 // to the default tenant. The detector, pipeline routing, monitor probes,
-// mitigation clamps and ingest filters all swap atomically;
+// mitigation clamps and ingest filters all swap at one pipeline barrier;
 // server-side-filtered sources are bounced so their subscriptions cover
 // the new space. No-op prefixes (already owned) are rejected.
 func (n *Node) AddPrefixes(prefixes ...string) error {
@@ -693,7 +645,7 @@ func (n *Node) AddPrefixes(prefixes ...string) error {
 
 // AddTenantPrefixes is AddPrefixes scoped to one tenant.
 func (n *Node) AddTenantPrefixes(tenant string, prefixes ...string) error {
-	return n.reconfigureTenant(tenant, func(sc *TenantSpec) error {
+	return n.updateScope(tenant, func(sc *TenantSpec) error {
 		for _, s := range prefixes {
 			p, err := prefix.Parse(s)
 			if err != nil {
@@ -719,7 +671,7 @@ func (n *Node) RemovePrefixes(prefixes ...string) error {
 
 // RemoveTenantPrefixes is RemovePrefixes scoped to one tenant.
 func (n *Node) RemoveTenantPrefixes(tenant string, prefixes ...string) error {
-	return n.reconfigureTenant(tenant, func(sc *TenantSpec) error {
+	return n.updateScope(tenant, func(sc *TenantSpec) error {
 		for _, s := range prefixes {
 			p, err := prefix.Parse(s)
 			if err != nil {
@@ -748,7 +700,7 @@ func (n *Node) SetOrigins(origins ...uint32) error {
 
 // SetTenantOrigins replaces one tenant's legitimate-origin set.
 func (n *Node) SetTenantOrigins(tenant string, origins ...uint32) error {
-	return n.reconfigureTenant(tenant, func(sc *TenantSpec) error {
+	return n.updateScope(tenant, func(sc *TenantSpec) error {
 		if len(origins) == 0 {
 			return fmt.Errorf("artemis: at least one origin required")
 		}
@@ -773,7 +725,7 @@ func (n *Node) Upstreams(tenant string) (map[uint32][]uint32, error) {
 // swaps it live; nil/empty disables path-anomaly detection for the
 // tenant. Persists like every other mutation.
 func (n *Node) SetUpstreams(tenant string, upstreams map[uint32][]uint32) error {
-	return n.reconfigureTenant(tenant, func(sc *TenantSpec) error {
+	return n.updateScope(tenant, func(sc *TenantSpec) error {
 		if len(upstreams) == 0 {
 			sc.Upstreams = nil
 			return nil
@@ -789,53 +741,158 @@ func (n *Node) SetTenantLimits(tenant string, limits TenantLimits) error {
 	if tenant == DefaultTenant {
 		return fmt.Errorf("artemis: the default tenant has no limits")
 	}
-	if limits.MaxEventsPerSec < 0 || limits.MitigationRatePerMin < 0 || limits.StreamBuffer < 0 {
-		return fmt.Errorf("artemis: tenant limits must be non-negative")
-	}
-	return n.reconfigureTenant(tenant, func(sc *TenantSpec) error {
+	return n.updateScope(tenant, func(sc *TenantSpec) error {
 		sc.Limits = limits
 		return nil
 	})
 }
 
-// reconfigureTenant mutates one tenant's scope on a clone of the
-// declarative config, validates it, swaps that tenant's core config
-// atomically at a pipeline barrier (the shared policy table is rebuilt;
-// other tenants are untouched), bounces sources whose subscription
-// filters are bound per connection, and persists the result.
-func (n *Node) reconfigureTenant(tenant string, mutate func(*TenantSpec) error) error {
+// updateScope is update confined to one tenant's scope.
+func (n *Node) updateScope(tenant string, mutate func(*TenantSpec) error) error {
+	err := n.update(func(cfg *Config) error { return mutateScope(cfg, tenant, mutate) })
+	if err == nil {
+		n.opts.logf("artemis: reconfigured tenant %s", tenant)
+	}
+	return err
+}
+
+// update is every live configuration change: mutate edits a clone of
+// the declarative config, which is validated, applied in one step by
+// applyLocked and persisted. Sources are re-diffed only when the edit
+// changed them.
+func (n *Node) update(mutate func(*Config) error) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ts, ok := n.tenants[tenant]
-	if !ok {
-		return fmt.Errorf("artemis: unknown tenant %q", tenant)
-	}
 	next := n.cfg.Clone()
-	if err := mutateScope(next, tenant, mutate); err != nil {
+	if err := mutate(next); err != nil {
 		return err
 	}
 	if err := next.Validate(); err != nil {
 		return err
 	}
-	sc, _ := next.scope(tenant)
-	ccfg, err := lowerScope(sc, next)
-	if err != nil {
+	sourcesChanged := !slices.EqualFunc(next.Sources, n.cfg.Sources, sourceSpecEqual)
+	if err := n.applyLocked(next); err != nil {
 		return err
 	}
-	ccfg.ManualMitigation = ts.svc.CurrentConfig().ManualMitigation
-	ccfg.RPKI = n.roas.Load()
-	if err := ts.svc.Reconfigure(ccfg); err != nil {
-		return err
-	}
-	old, _ := n.cfg.scope(tenant)
-	prefixesChanged := !slices.Equal(old.Prefixes, sc.Prefixes)
-	n.cfg = next
-	if prefixesChanged {
-		n.bounceFilteredSourcesLocked()
-		n.opts.logf("artemis: reconfigured tenant %s: now watching %v", tenant, sc.Prefixes)
+	if sourcesChanged {
+		if err := n.replaceSourcesLocked(next.Sources); err != nil {
+			return err
+		}
 	}
 	n.persistLocked()
 	return nil
+}
+
+// applyLocked makes the validated config next the node's configuration.
+// It lowers every tenant scope, then builds the whole next policy table
+// (which validates every tenant) over the retained stacks and fresh ones
+// for new tenants; a failure in either step closes the fresh stacks and
+// returns with nothing applied. Otherwise it installs the table with one
+// pipeline barrier, whose onApply swaps every retained tenant whose
+// lowered config changed, so each event is classified wholly under the
+// old configuration or wholly under the new one. Unchanged tenants keep
+// their snapshot (no monitor re-index); removed tenants drain after the
+// barrier; sources are bounced only when the owned-prefix union changed.
+// The first call, from New, creates the pipeline instead.
+func (n *Node) applyLocked(next *Config) error {
+	scopes := next.scopes()
+	policies := make([]core.TenantPolicy, len(scopes))
+	for i, sc := range scopes {
+		ccfg, err := n.lower(sc, next)
+		if err != nil {
+			return err
+		}
+		policies[i] = core.TenantPolicy{Name: sc.Name, Config: ccfg}
+	}
+	tenants := make(map[string]*tenantState, len(scopes))
+	order := make([]string, len(scopes))
+	var added []*tenantState
+	var swapped []int // retained tenants whose config changes, by index
+	closeAdded := func() {
+		for _, ts := range added {
+			ts.svc.Close()
+		}
+	}
+	for i := range policies {
+		pol := &policies[i]
+		ts, ok := n.tenants[pol.Name]
+		if ok {
+			cur := ts.svc.CurrentConfig()
+			pol.Config.Self = cur.Self
+			if sameConfig(pol.Config, cur) {
+				pol.Config = cur
+			} else {
+				swapped = append(swapped, i)
+			}
+			pol.Runtime = n.table.Runtime(pol.Name)
+		} else {
+			var err error
+			if ts, err = n.newTenant(pol.Name, pol.Config, next.Mitigation.QueueDepth); err != nil {
+				closeAdded()
+				return err
+			}
+			added = append(added, ts)
+		}
+		pol.Detector, pol.Monitor = ts.svc.Detector, ts.svc.Monitor
+		tenants[pol.Name] = ts
+		order[i] = pol.Name
+	}
+	table, err := core.NewPolicyTable(policies)
+	if err != nil {
+		closeAdded()
+		return err
+	}
+	table.OnQuotaDrop(n.publishQuotaDrop)
+	if n.pl == nil {
+		n.pl = core.NewPipelineTable(table, core.PipelineConfig{})
+	} else {
+		n.pl.ReconfigureTable(table, func() {
+			for _, i := range swapped {
+				tenants[order[i]].svc.SwapConfig(policies[i].Config)
+			}
+		})
+	}
+	for name, ts := range n.tenants {
+		if tenants[name] != ts {
+			ts.svc.Close() // past the barrier: no batch routes to it anymore
+		}
+	}
+	old, _ := n.union.Load().([]prefix.Prefix)
+	union := table.UnionFilter()
+	n.cfg, n.tenants, n.order, n.table = next, tenants, order, table
+	n.union.Store(union)
+	if !sameSpace(old, union) {
+		n.bounceFilteredSourcesLocked()
+	}
+	return nil
+}
+
+// sameConfig reports whether two lowered configs are equal, the shared
+// ROA table and self-announcement registry compared by pointer.
+func sameConfig(a, b *core.Config) bool {
+	x, y := *a, *b
+	x.RPKI, x.Self, y.RPKI, y.Self = nil, nil, nil, nil
+	return a.RPKI == b.RPKI && a.Self == b.Self && reflect.DeepEqual(x, y)
+}
+
+// sameSpace reports whether two prefix lists hold the same set.
+func sameSpace(a, b []prefix.Prefix) bool {
+	seen := make(map[prefix.Prefix]bool, len(a))
+	for _, p := range a {
+		seen[p] = false
+	}
+	for _, p := range b {
+		if _, ok := seen[p]; !ok {
+			return false
+		}
+		seen[p] = true
+	}
+	for _, hit := range seen {
+		if !hit {
+			return false
+		}
+	}
+	return true
 }
 
 // bounceFilteredSourcesLocked redials the sources whose subscription
@@ -852,205 +909,68 @@ func (n *Node) bounceFilteredSourcesLocked() {
 // --- tenant CRUD ---
 
 // AddTenant hot-adds a tenant: its own detector, monitor and mitigation
-// stack attach to the shared pipeline at a sink barrier, and the feed
-// union widens to cover its prefixes. Persists via the state file.
+// stack joins the shared pipeline at one barrier, and the feed union
+// widens to cover its prefixes. Persists via the state file.
 func (n *Node) AddTenant(spec TenantSpec) error {
-	if err := spec.validate(); err != nil {
-		return err
+	err := n.update(func(cfg *Config) error {
+		if err := spec.validate(); err != nil {
+			return err
+		}
+		if _, dup := cfg.scope(spec.Name); dup {
+			return fmt.Errorf("artemis: tenant %q already exists", spec.Name)
+		}
+		cfg.Tenants = append(cfg.Tenants, spec.Clone())
+		return nil
+	})
+	if err == nil {
+		n.opts.logf("artemis: tenant %s added (%d prefixes)", spec.Name, len(spec.Prefixes))
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.tenants[spec.Name]; dup {
-		return fmt.Errorf("artemis: tenant %q already exists", spec.Name)
-	}
-	next := n.cfg.Clone()
-	next.Tenants = append(next.Tenants, spec.Clone())
-	if err := next.Validate(); err != nil {
-		return err
-	}
-	ts, _, err := n.newTenant(spec, next)
-	if err != nil {
-		return err
-	}
-	ts.svc.BindReconfigureVia(n.tenantBarrier(spec.Name))
-	tenants := make(map[string]*tenantState, len(n.tenants)+1)
-	for k, v := range n.tenants {
-		tenants[k] = v
-	}
-	tenants[spec.Name] = ts
-	if err := n.retableLocked(append(append([]string(nil), n.order...), spec.Name), tenants); err != nil {
-		ts.svc.Close()
-		return err
-	}
-	n.cfg = next
-	n.bounceFilteredSourcesLocked()
-	n.persistLocked()
-	n.opts.logf("artemis: tenant %s added (%d prefixes)", spec.Name, len(spec.Prefixes))
-	return nil
+	return err
 }
 
 // RemoveTenant hot-removes a tenant: the shared table stops routing to
-// it at a sink barrier, then its service stack drains. Its alert history
+// it at one barrier, then its service stack drains. Its alert history
 // is discarded with it. The default tenant cannot be removed this way —
 // it is the top-level prefixes; remove those instead.
 func (n *Node) RemoveTenant(name string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if name == DefaultTenant {
 		return fmt.Errorf("artemis: tenant %q is the top-level prefixes; remove those instead", name)
 	}
-	ts, ok := n.tenants[name]
-	if !ok {
-		return fmt.Errorf("artemis: unknown tenant %q", name)
-	}
-	if len(n.order) == 1 {
-		return fmt.Errorf("artemis: cannot remove the last tenant")
-	}
-	next := n.cfg.Clone()
-	for i := range next.Tenants {
-		if next.Tenants[i].Name == name {
-			next.Tenants = append(next.Tenants[:i], next.Tenants[i+1:]...)
-			break
+	err := n.update(func(cfg *Config) error {
+		i := slices.IndexFunc(cfg.Tenants, func(t TenantSpec) bool { return t.Name == name })
+		if i < 0 {
+			return fmt.Errorf("artemis: unknown tenant %q", name)
 		}
+		cfg.Tenants = slices.Delete(cfg.Tenants, i, i+1)
+		return nil
+	})
+	if err == nil {
+		n.opts.logf("artemis: tenant %s removed", name)
 	}
-	order := make([]string, 0, len(n.order)-1)
-	for _, o := range n.order {
-		if o != name {
-			order = append(order, o)
-		}
-	}
-	tenants := make(map[string]*tenantState, len(n.tenants)-1)
-	for k, v := range n.tenants {
-		if k != name {
-			tenants[k] = v
-		}
-	}
-	if err := n.retableLocked(order, tenants); err != nil {
-		return err
-	}
-	n.cfg = next
-	// The barrier has applied: no in-flight batch references this
-	// tenant's detector anymore, so its stack can drain.
-	ts.svc.Close()
-	n.bounceFilteredSourcesLocked()
-	n.persistLocked()
-	n.opts.logf("artemis: tenant %s removed", name)
-	return nil
+	return err
 }
 
-// retableLocked installs a policy table for the given tenant order at
-// the pipeline's sink barrier, carrying each retained tenant's runtime
-// counters (quota buckets, event counts) across the swap.
-func (n *Node) retableLocked(order []string, tenants map[string]*tenantState) error {
-	policies := make([]core.TenantPolicy, len(order))
-	for i, name := range order {
-		ts := tenants[name]
-		policies[i] = core.TenantPolicy{
-			Name:     name,
-			Config:   ts.svc.CurrentConfig(),
-			Detector: ts.svc.Detector,
-			Monitor:  ts.svc.Monitor,
-			Runtime:  n.table.Runtime(name), // nil for new tenants → fresh
-		}
-	}
-	table, err := core.NewPolicyTable(policies)
-	if err != nil {
-		return err
-	}
-	table.OnQuotaDrop(n.publishQuotaDrop)
-	n.pl.ReconfigureTable(table, func() {})
-	n.table = table
-	n.order = order
-	n.tenants = tenants
-	n.union.Store(table.UnionFilter())
-	return nil
-}
-
-// ReplaceConfig atomically replaces the whole declarative configuration:
-// tenant membership and scopes, sources, and the hot-tunable bounds
-// (alert dedup TTL/size, mitigation retries, per-tenant limits) all
-// swap live; construction-time fields (mitigation southbound, source
-// queues) are stored and persisted but only take effect on
-// restart. This is POST /v1/config — and, with a state file, how a
-// hosted deployment's whole tenant store is replaced and survives
-// restarts.
+// ReplaceConfig atomically replaces the whole declarative configuration
+// except Control: tenant membership and scopes, sources, and the
+// hot-tunable bounds (alert dedup TTL/size, mitigation retries,
+// per-tenant limits) all swap live at one barrier; construction-time
+// fields (mitigation southbound, source queues) are stored and persisted
+// but only take effect on restart. A rejected config changes nothing.
+// This is POST /v1/config — and, with a state file, how a hosted
+// deployment's whole tenant store is replaced and survives restarts.
 func (n *Node) ReplaceConfig(next *Config) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	next = next.Clone()
-	// The state file and listen address identify THIS node; a config
-	// replace must not silently re-point persistence or auth elsewhere.
-	next.Control = n.cfg.Control
-	if err := next.Validate(); err != nil {
-		return err
+	err := n.update(func(cfg *Config) error {
+		// The state file and listen address identify THIS node; a config
+		// replace must not silently re-point persistence or auth elsewhere.
+		next.Control = cfg.Control
+		*cfg = *next
+		return nil
+	})
+	if err == nil {
+		n.opts.logf("artemis: configuration replaced (%d tenants, %d sources)", len(next.scopes()), len(next.Sources))
 	}
-	want := next.scopes()
-	wantNames := make(map[string]bool, len(want))
-	for _, sc := range want {
-		wantNames[sc.Name] = true
-	}
-	// Build the next tenant set: retained stacks carry over (history,
-	// counters, quota state), new scopes get fresh stacks.
-	order := make([]string, 0, len(want))
-	tenants := make(map[string]*tenantState, len(want))
-	var added []*tenantState
-	for _, sc := range want {
-		if ts, ok := n.tenants[sc.Name]; ok {
-			tenants[sc.Name] = ts
-		} else {
-			ts, _, err := n.newTenant(sc, next)
-			if err != nil {
-				for _, a := range added {
-					a.svc.Close()
-				}
-				return err
-			}
-			ts.svc.BindReconfigureVia(n.tenantBarrier(sc.Name))
-			tenants[sc.Name] = ts
-			added = append(added, ts)
-		}
-		order = append(order, sc.Name)
-	}
-	var removed []*tenantState
-	for name, ts := range n.tenants {
-		if !wantNames[name] {
-			removed = append(removed, ts)
-		}
-	}
-	if err := n.retableLocked(order, tenants); err != nil {
-		for _, a := range added {
-			a.svc.Close()
-		}
-		return err
-	}
-	n.cfg = next
-	// Retained tenants now reconfigure to their new scopes: each swap is
-	// its own barrier under the new table order.
-	for _, sc := range want {
-		ts := tenants[sc.Name]
-		if slices.Contains(added, ts) {
-			continue
-		}
-		ccfg, err := lowerScope(sc, next)
-		if err != nil {
-			return err
-		}
-		ccfg.ManualMitigation = ts.svc.CurrentConfig().ManualMitigation
-		ccfg.RPKI = n.roas.Load()
-		if err := ts.svc.Reconfigure(ccfg); err != nil {
-			return err
-		}
-	}
-	for _, ts := range removed {
-		ts.svc.Close()
-	}
-	if err := n.replaceSourcesLocked(next.Sources); err != nil {
-		return err
-	}
-	n.bounceFilteredSourcesLocked()
-	n.persistLocked()
-	n.opts.logf("artemis: configuration replaced (%d tenants, %d sources)", len(order), len(n.cfg.Sources))
-	return nil
+	return err
 }
 
 // replaceSourcesLocked diffs the supervised sources against specs:
@@ -1681,13 +1601,14 @@ type RouteObservation struct {
 	Path []uint32 `json:"path,omitempty"`
 }
 
-// Inject feeds observations straight into the detection pipeline,
-// bypassing the ingest supervisor (no cross-source dedup). Observations
-// are stamped with the node clock and fan out to every tenant whose
-// space they match. The pipeline copies the batch during Submit, so
-// Inject builds it in pooled storage and recycles it before returning —
-// a steady inject loop performs no per-call allocations
-// (docs/PERFORMANCE.md).
+// Inject feeds observations to the node exactly as a monitoring source's
+// post-dedup batch: the detection pipeline, the route table, the archive
+// recorder and the event firehose. Only the ingest supervisor is
+// bypassed, so there is no cross-source dedup. Observations are stamped
+// with the node clock and fan out to every tenant whose space they
+// match. Every consumer copies what it keeps, so Inject builds the batch
+// in pooled storage and recycles it before returning — a steady inject
+// loop performs no per-call allocations (docs/PERFORMANCE.md).
 func (n *Node) Inject(obs ...RouteObservation) error {
 	batch := n.injectPool.Get()
 	defer batch.Release()
@@ -1722,10 +1643,7 @@ func (n *Node) Inject(obs ...RouteObservation) error {
 		}
 		batch.Append(ev)
 	}
-	n.pl.Submit(batch.Events)
-	if n.rib != nil {
-		n.rib.Apply(batch.Events)
-	}
+	n.deliver(batch.Events)
 	return nil
 }
 

@@ -18,7 +18,7 @@ var ErrRIBDisabled = fmt.Errorf("artemis: route table not enabled (set rib: in t
 // setupRouteIntel loads the node's route-intelligence state from cfg:
 // the AS-name registry, the ROA table (file or URL fetch) and the route
 // table with its optional full-dump bootstrap. Called once from New,
-// before tenant stacks are built — their core configs embed the ROA
+// before tenant stacks are built — their lowered configs embed the ROA
 // table snapshot.
 func (n *Node) setupRouteIntel(cfg *Config) error {
 	if cfg.ASNames.Path != "" {
@@ -59,9 +59,9 @@ func (n *Node) setupRouteIntel(cfg *Config) error {
 	return nil
 }
 
-// refreshRPKILoop re-fetches the ROA export every interval and swaps the
-// new table into every tenant's config at a pipeline barrier. A failed
-// fetch keeps the previous table and retries next tick.
+// refreshRPKILoop re-fetches the ROA export every interval and installs
+// each new table with setROATable. A failed fetch keeps the previous
+// table and retries next tick.
 func (n *Node) refreshRPKILoop(ctx context.Context, url string, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -82,21 +82,18 @@ func (n *Node) refreshRPKILoop(ctx context.Context, url string, every time.Durat
 	}
 }
 
-// setROATable installs a new ROA table: the pointer swaps for future
-// tenant construction, and every live tenant reconfigures to a config
-// snapshot carrying it — each swap an atomic pipeline barrier, so the
-// serial/pipeline equivalence argument is untouched by refreshes.
+// setROATable installs a new ROA table by re-applying the current config:
+// every tenant's lowered config now carries the table, and all of them
+// swap at one pipeline barrier, so the serial/pipeline equivalence
+// argument is untouched by refreshes.
 func (n *Node) setROATable(tb *rpki.Table) {
-	n.roas.Store(tb)
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, name := range n.order {
-		ts := n.tenants[name]
-		ccfg := ts.svc.CurrentConfig().Clone()
-		ccfg.RPKI = tb
-		if err := ts.svc.Reconfigure(ccfg); err != nil {
-			n.opts.logf("artemis: rpki refresh: tenant %s: %v", name, err)
-		}
+	n.roas.Store(tb)
+	err := n.applyLocked(n.cfg)
+	n.mu.Unlock()
+	if err != nil {
+		n.opts.logf("artemis: rpki refresh: %v", err)
+		return
 	}
 	n.opts.logf("artemis: rpki table refreshed (%d ROAs)", tb.Len())
 }
