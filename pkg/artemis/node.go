@@ -112,8 +112,11 @@ type Node struct {
 	manual    bool
 	ctrlDelay time.Duration
 
+	// mu guards the fields below. cfg (except its Sources, which source
+	// CRUD edits in place), tenants, order and table are replaced only
+	// together, in applyLocked.
 	mu      sync.Mutex
-	cfg     *Config // current declarative config, kept in sync with CRUD
+	cfg     *Config // current declarative config
 	tenants map[string]*tenantState
 	order   []string // table order; order[i] owns policy-table entry i
 	table   *core.PolicyTable
@@ -149,7 +152,6 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 	cfg = cfg.Clone()
 	n := &Node{
 		bus:        newEventBus(),
-		tenants:    make(map[string]*tenantState),
 		sources:    make(map[string]sourceEntry),
 		srcSeq:     make(map[string]int),
 		drained:    make(chan struct{}),
@@ -877,22 +879,17 @@ func sameConfig(a, b *core.Config) bool {
 
 // sameSpace reports whether two prefix lists hold the same set.
 func sameSpace(a, b []prefix.Prefix) bool {
-	seen := make(map[prefix.Prefix]bool, len(a))
+	inA, inB := make(map[prefix.Prefix]bool, len(a)), make(map[prefix.Prefix]bool, len(b))
 	for _, p := range a {
-		seen[p] = false
+		inA[p] = true
 	}
 	for _, p := range b {
-		if _, ok := seen[p]; !ok {
+		if !inA[p] {
 			return false
 		}
-		seen[p] = true
+		inB[p] = true
 	}
-	for _, hit := range seen {
-		if !hit {
-			return false
-		}
-	}
-	return true
+	return len(inA) == len(inB)
 }
 
 // bounceFilteredSourcesLocked redials the sources whose subscription
