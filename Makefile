@@ -92,10 +92,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Build every example/command and run the public-API Example tests —
-# the same gate CI's examples job applies to the pkg/ surface.
+# Build every example/command, run the public-API Example tests and run
+# live-feeds end to end over real sockets (about 4 s; it exits non-zero
+# unless the hijack is detected and mitigated) — the same gate CI's
+# examples job applies.
 examples:
 	$(GO) build ./examples/... ./cmd/...
 	$(GO) test -run Example -v ./pkg/...
+	$(GO) run ./examples/live-feeds
 
 ci: fmt build vet race examples

@@ -26,7 +26,7 @@ func TestSubmitSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
 	det := core.NewDetector(pipelineBenchConfig(t))
-	pl := core.NewPipeline(det, nil, core.PipelineConfig{})
+	pl := newPipeline(det, nil, core.PipelineConfig{})
 	defer pl.Close()
 
 	// Warm up: grow every pooled arena (and raise every alert the dedup
@@ -96,7 +96,7 @@ func TestIngestSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
 	det := core.NewDetector(pipelineBenchConfig(t))
-	pl := core.NewPipeline(det, nil, core.PipelineConfig{})
+	pl := newPipeline(det, nil, core.PipelineConfig{})
 	defer pl.Close()
 	sup := ingest.New(pl.Submit, ingest.Config{DedupTTL: -1})
 	defer sup.Close()
@@ -137,7 +137,7 @@ func TestRecordSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
 	det := core.NewDetector(pipelineBenchConfig(t))
-	pl := core.NewPipeline(det, nil, core.PipelineConfig{})
+	pl := newPipeline(det, nil, core.PipelineConfig{})
 	defer pl.Close()
 	rec, err := eventlog.NewRecorder(eventlog.RecorderConfig{
 		Prefix:       filepath.Join(t.TempDir(), "cap"),

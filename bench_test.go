@@ -334,6 +334,16 @@ func pipelineBenchConfig(tb testing.TB) *core.Config {
 	return &core.Config{OwnedPrefixes: owned, LegitOrigins: []bgp.ASN{61000}}
 }
 
+// newPipeline starts a one-tenant pipeline under det's config; mon may be
+// nil.
+func newPipeline(det *core.Detector, mon *core.Monitor, cfg core.PipelineConfig) *core.Pipeline {
+	table, err := core.NewPolicyTable([]core.TenantPolicy{{Config: det.Config(), Detector: det, Monitor: mon}})
+	if err != nil {
+		panic(err)
+	}
+	return core.NewPipelineTable(table, cfg)
+}
+
 // pipelineWorkload builds a deterministic feed-scale event mix: mostly
 // benign announcements of the owned space, a slice of unrelated routes the
 // filter would pass anyway (covering prefixes), and a pinch of repeated
@@ -396,7 +406,7 @@ func BenchmarkDetectionBatchIngest(b *testing.B) {
 	})
 	b.Run("pipeline", func(b *testing.B) {
 		det := core.NewDetector(pipelineBenchConfig(b))
-		pl := core.NewPipeline(det, nil, core.PipelineConfig{})
+		pl := newPipeline(det, nil, core.PipelineConfig{})
 		defer pl.Close()
 		b.ReportAllocs() // the allocation-free-hot-path contract (docs/PERFORMANCE.md)
 		b.ResetTimer()
@@ -551,7 +561,7 @@ func BenchmarkIngestFanIn(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				det := core.NewDetector(pipelineBenchConfig(b))
-				pl := core.NewPipeline(det, nil, core.PipelineConfig{})
+				pl := newPipeline(det, nil, core.PipelineConfig{})
 				sup := ingest.New(pl.Submit, ingest.Config{QueueDepth: 256})
 				for s := range streams {
 					sup.AddDialer(fmt.Sprintf("src%d", s), ingest.ReplayDialer(streams[s]), ingest.Blocking())

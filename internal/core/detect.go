@@ -94,8 +94,8 @@ type Detector struct {
 	// cfg is the active configuration. It is an atomic pointer so the
 	// serial Process path can be reconfigured at runtime without locking
 	// the classification hot path; the pipeline instead stamps each batch
-	// with the config it was routed under (see Pipeline.Reconfigure for
-	// the serial-equivalence argument).
+	// with the config it was routed under (see Pipeline.ReconfigureTable
+	// for the serial-equivalence argument).
 	cfg atomic.Pointer[Config]
 
 	mu sync.Mutex

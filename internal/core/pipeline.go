@@ -19,7 +19,7 @@ import (
 // tenant under that tenant's config, and applies the results — alert
 // commits, handlers, monitor fold — exactly as the serial
 // Detector/Monitor path would. A reconfiguration is a barrier job in the
-// same ring. NewPipeline is the single-tenant case of NewPipelineTable.
+// same ring.
 //
 // The steady state allocates nothing (docs/PERFORMANCE.md): jobs recycle
 // through a sync.Pool and the worker reuses its routing arenas. The ring
@@ -42,8 +42,8 @@ type Pipeline struct {
 	jobs sync.Pool
 
 	// life is held shared by submitters while they stamp and enqueue a
-	// job, and exclusively by Reconfigure and Close, so a barrier or the
-	// ring's close never lands in the middle of a submission.
+	// job, and exclusively by ReconfigureTable and Close, so a barrier or
+	// the ring's close never lands in the middle of a submission.
 	life   sync.RWMutex
 	closed bool
 
@@ -206,12 +206,6 @@ func (j *batchJob) reset() {
 	clear(j.events)
 	j.events = j.events[:0]
 	j.paths = j.paths[:0]
-}
-
-// NewPipeline builds and starts a single-tenant pipeline: one (detector,
-// monitor, config) triple; mon may be nil. Close releases the worker.
-func NewPipeline(det *Detector, mon *Monitor, cfg PipelineConfig) *Pipeline {
-	return NewPipelineTable(newSingleTable(det.Config(), det, mon, nil), cfg)
 }
 
 // NewPipelineTable builds and starts a pipeline routing under a
@@ -502,39 +496,22 @@ func (p *Pipeline) waitApplied(seq int64) {
 	p.applyMu.Unlock()
 }
 
-// Reconfigure atomically swaps the pipeline's routing state to next and
-// runs onApply at the swap's serial position, returning once it has run.
-// The swap and its barrier job are queued under the exclusive life lock,
-// so every batch carries one snapshot and is queued strictly before or
-// after the barrier; onApply, which should swap the detector, monitor
-// and mitigator to the same snapshot, sees what a serial run would see
-// between the last batch submitted before Reconfigure and the first one
-// after it. Reconfigure must not be called from an alert handler or
-// monitor fold (the barrier waits on the worker they run on). On a closed
-// pipeline onApply runs inline.
-//
-// Reconfigure replaces the first (on a single-tenant pipeline: the only)
-// tenant's config; every other tenant's policy, and all per-tenant
-// runtime state, carries over. ReconfigureTable swaps the whole table.
-func (p *Pipeline) Reconfigure(next *Config, onApply func()) {
-	p.life.Lock()
-	p.swapTableLocked(p.table.WithConfig(0, next), onApply)
-}
-
 // ReconfigureTable atomically swaps the whole policy table — tenants
-// added, removed or retuned in one barrier — with the same serial
-// position guarantees as Reconfigure. Tenants surviving the swap should
-// carry their Runtime (and usually Detector/Monitor) into the next table,
-// or their counters and quota state restart from zero.
+// added, removed or retuned in one barrier — and runs onApply at the
+// swap's serial position, returning once it has run. The swap and its
+// barrier job are queued under the exclusive life lock, so every batch
+// carries one table and is queued strictly before or after the barrier;
+// onApply, which should swap each retuned tenant's detector, monitor and
+// mitigator to its new config (Service.SwapConfig), sees what a serial
+// run would see between the last batch submitted before ReconfigureTable
+// and the first one after it. Tenants surviving the swap should carry
+// their Runtime (and usually Detector/Monitor) into the next table, or
+// their counters and quota state restart from zero. ReconfigureTable
+// must not be called from an alert handler or monitor fold (the barrier
+// waits on the worker they run on). On a closed pipeline onApply runs
+// inline.
 func (p *Pipeline) ReconfigureTable(next *PolicyTable, onApply func()) {
 	p.life.Lock()
-	p.swapTableLocked(next, onApply)
-}
-
-// swapTableLocked installs next and enqueues the reconfiguration barrier.
-// Called with p.life held exclusively; releases it, and blocks until the
-// worker has run the barrier.
-func (p *Pipeline) swapTableLocked(next *PolicyTable, onApply func()) {
 	if p.closed {
 		p.life.Unlock()
 		if onApply != nil {

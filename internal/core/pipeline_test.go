@@ -12,6 +12,22 @@ import (
 	"artemis/internal/prefix"
 )
 
+// newPipeline starts a one-tenant pipeline under det's config; mon may be
+// nil.
+func newPipeline(det *Detector, mon *Monitor, cfg PipelineConfig) *Pipeline {
+	return NewPipelineTable(oneTenant(det, mon, det.Config(), nil), cfg)
+}
+
+// oneTenant builds a one-tenant policy table under cfg; rt carries the
+// tenant's runtime over from a previous table (nil starts a fresh one).
+func oneTenant(det *Detector, mon *Monitor, cfg *Config, rt *TenantRuntime) *PolicyTable {
+	table, err := NewPolicyTable([]TenantPolicy{{Config: cfg, Detector: det, Monitor: mon, Runtime: rt}})
+	if err != nil {
+		panic(err)
+	}
+	return table
+}
+
 // multiOwnedConfig spreads ownership over several prefixes so routing has
 // something to tell apart.
 func multiOwnedConfig() *Config {
@@ -84,7 +100,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 
 	pipeDet := NewDetector(multiOwnedConfig())
 	pipeMon := NewMonitor(multiOwnedConfig())
-	p := NewPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 8})
+	p := newPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 8})
 	for i := 0; i < len(evs); i += 37 { // uneven batch boundaries
 		end := min(i+37, len(evs))
 		p.SubmitWait(evs[i:end])
@@ -116,7 +132,7 @@ func TestPipelineAlertHandlerOrder(t *testing.T) {
 		order = append(order, a.Key())
 		mu.Unlock()
 	})
-	p := NewPipeline(det, nil, PipelineConfig{})
+	p := newPipeline(det, nil, PipelineConfig{})
 
 	mk := func(pfx string, origin bgp.ASN) feedtypes.Event {
 		return feedtypes.Event{
@@ -153,7 +169,7 @@ func TestPipelineAlertHandlerOrder(t *testing.T) {
 // called must still be classified and applied.
 func TestPipelineCloseFlushesPending(t *testing.T) {
 	det := NewDetector(multiOwnedConfig())
-	p := NewPipeline(det, nil, PipelineConfig{QueueDepth: 4})
+	p := newPipeline(det, nil, PipelineConfig{QueueDepth: 4})
 	evs := mixedEvents(300)
 	for i := 0; i < len(evs); i += 10 {
 		p.Submit(evs[i : i+10]) // async: no waiting
@@ -193,7 +209,7 @@ func TestPipelineStress(t *testing.T) {
 	cfg := multiOwnedConfig()
 	det := NewDetector(cfg)
 	mon := NewMonitor(cfg)
-	p := NewPipeline(det, mon, PipelineConfig{QueueDepth: 2})
+	p := newPipeline(det, mon, PipelineConfig{QueueDepth: 2})
 
 	streams := make([][]feedtypes.Event, submitters)
 	for s := range streams {

@@ -33,7 +33,7 @@ func swapSerial(det *Detector, mon *Monitor, mit *Mitigator, next *Config) {
 // fixed stream positions must yield identical alerts, mitigation records,
 // controller announcements, monitor history and final snapshot whether it
 // runs through (a) the serial Detector/Monitor with inline swaps or
-// (b) the sharded pipeline with swaps injected via Reconfigure barriers
+// (b) the pipeline with the swaps injected as ReconfigureTable barriers
 // while batches are in flight.
 func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 	base := equivalenceConfig()
@@ -80,7 +80,7 @@ func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 			}
 			serialQ.Close()
 
-			// Pipeline under test: batched submission with Reconfigure
+			// Pipeline under test: batched submission with ReconfigureTable
 			// barriers at the same stream positions.
 			pipeAnn := &recordingAnnouncer{}
 			pipeDet := NewDetector(base)
@@ -88,7 +88,7 @@ func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 			pipeMit := NewMitigator(base, pipeAnn, now)
 			pipeQ := NewMitigationQueue(pipeMit.HandleAlert, MitigationQueueConfig{Depth: 2}, nil)
 			pipeDet.OnAlert(pipeQ.Enqueue)
-			p := NewPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 4})
+			p := newPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 4})
 			from = 0
 			for _, st := range stages {
 				for i := from; i < st.to; i += 37 { // uneven batch boundaries
@@ -98,7 +98,7 @@ func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 				from = st.to
 				if st.next != nil {
 					next := st.next
-					p.Reconfigure(next, func() {
+					p.ReconfigureTable(oneTenant(pipeDet, pipeMon, next, p.table.Runtime("")), func() {
 						pipeDet.setConfig(next)
 						pipeMon.SetConfig(next)
 						pipeMit.setConfig(next)
@@ -147,7 +147,7 @@ func TestReconfigureConcurrentSubmitters(t *testing.T) {
 
 	det := NewDetector(cfgA)
 	mon := NewMonitor(cfgA)
-	p := NewPipeline(det, mon, PipelineConfig{QueueDepth: 8})
+	p := newPipeline(det, mon, PipelineConfig{QueueDepth: 8})
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -170,7 +170,7 @@ func TestReconfigureConcurrentSubmitters(t *testing.T) {
 		if i%2 == 0 {
 			next = cfgB
 		}
-		p.Reconfigure(next, func() {
+		p.ReconfigureTable(oneTenant(det, mon, next, p.table.Runtime("")), func() {
 			det.setConfig(next)
 			mon.SetConfig(next)
 		})
@@ -186,9 +186,8 @@ func TestReconfigureConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestServiceReconfigureSerial covers the pipeline-less path: a Service
-// without a bound pipeline swaps immediately, and validation rejects bad
-// configs without touching the running state.
+// TestServiceReconfigureSerial covers the pipeline-less path: SwapConfig
+// called directly retunes the detector at once.
 func TestServiceReconfigureSerial(t *testing.T) {
 	cfg := &Config{
 		OwnedPrefixes: []prefix.Prefix{prefix.MustParse("10.0.0.0/23")},
@@ -213,21 +212,12 @@ func TestServiceReconfigureSerial(t *testing.T) {
 
 	next := svc.CurrentConfig().Clone()
 	next.OwnedPrefixes = append(next.OwnedPrefixes, prefix.MustParse("172.16.0.0/22"))
-	if err := svc.Reconfigure(next); err != nil {
-		t.Fatal(err)
-	}
+	svc.SwapConfig(next)
 	svc.Detector.Process(hijack)
 	if n := svc.Detector.AlertCount(); n != 1 {
 		t.Fatalf("hot-added prefix not detected: %d alerts", n)
 	}
 	if got := svc.CurrentConfig().OwnedPrefixes; len(got) != 2 {
 		t.Fatalf("CurrentConfig not updated: %v", got)
-	}
-
-	if err := svc.Reconfigure(&Config{}); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	if got := svc.CurrentConfig().OwnedPrefixes; len(got) != 2 {
-		t.Fatalf("failed reconfig mutated state: %v", got)
 	}
 }

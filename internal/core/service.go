@@ -15,10 +15,6 @@ import (
 // controller southbound never stalls whichever goroutine commits alerts
 // (the pipeline's sink in daemon mode).
 type Service struct {
-	// Config is the configuration the service was constructed with. Live
-	// reconfiguration installs new snapshots without touching it; use
-	// CurrentConfig for the active one.
-	Config    *Config
 	Detector  *Detector
 	Mitigator *Mitigator
 	Monitor   *Monitor
@@ -32,15 +28,8 @@ type Service struct {
 	retryMu sync.Mutex
 	retries map[string]int
 
-	// cur is the active configuration snapshot; Reconfigure swaps it.
+	// cur is the active configuration snapshot; SwapConfig replaces it.
 	cur atomic.Pointer[Config]
-	// reconfigMu serializes Reconfigure calls; pl is the bound pipeline
-	// whose barrier mechanism gives reconfiguration its serial position.
-	// A host owning a shared multi-tenant pipeline binds none and calls
-	// SwapConfig at its own barrier instead.
-	reconfigMu sync.Mutex
-	plMu       sync.Mutex
-	pl         *Pipeline
 
 	// now clocks the mitigation rate limiter (wall clock in daemons, the
 	// engine clock in experiments).
@@ -96,7 +85,6 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 		cfg.Self = NewSelfAnnounced()
 	}
 	s := &Service{
-		Config:    cfg,
 		Detector:  NewDetector(cfg),
 		Mitigator: NewMitigator(cfg, ctrl, now),
 		Monitor:   NewMonitor(cfg),
@@ -155,23 +143,6 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 	return s, nil
 }
 
-// BindPipeline registers the pipeline the service's feeds flow through.
-// Reconfigure then routes config swaps through the pipeline's barrier so
-// they land at a well-defined serial position in the event stream. A
-// service without a bound pipeline (the serial trial path) reconfigures
-// immediately.
-func (s *Service) BindPipeline(pl *Pipeline) {
-	s.plMu.Lock()
-	s.pl = pl
-	s.plMu.Unlock()
-}
-
-func (s *Service) boundPipeline() *Pipeline {
-	s.plMu.Lock()
-	defer s.plMu.Unlock()
-	return s.pl
-}
-
 // allowMitigation spends one token from the MitigationRatePerMin bucket
 // (burst = one minute's allowance, clocked by s.now). Unlimited when the
 // active config does not set a rate.
@@ -217,51 +188,22 @@ func (s *Service) OnMitigationDrop(fn func(Alert)) {
 }
 
 // CurrentConfig returns the active configuration snapshot. Treat it as
-// immutable: derive changes with Clone and apply them via Reconfigure.
+// immutable: derive changes with Clone and install them with SwapConfig
+// at the host pipeline's barrier.
 func (s *Service) CurrentConfig() *Config { return s.cur.Load() }
 
-// Reconfigure validates next and atomically swaps the whole service —
-// detector classification, pipeline routing, monitor probe set and
-// mitigation clamps — to it. With a bound pipeline the swap happens at a
-// barrier in the worker's serial order (see Pipeline.Reconfigure for the
-// equivalence argument) and Reconfigure returns once it has been applied;
-// without one it happens immediately. A multi-tenant host binds no
-// pipeline and never calls Reconfigure: it swaps a whole policy table and
-// calls SwapConfig at that table's barrier. next is cloned, so the caller
-// may keep mutating its copy. Reconfigure must not be called from an alert
-// handler or another callback running on the pipeline's sink goroutine.
+// SwapConfig applies a validated snapshot to every subsystem — detector
+// classification, monitor probe set and mitigation clamps — with no
+// barrier of its own. The host that owns the pipeline runs it from the
+// onApply of Pipeline.ReconfigureTable, so the service swaps at that
+// table's serial position (a serial trial with no pipeline may call it
+// directly). next must carry the service's self-announcement registry.
 //
 // Hot-tunable alongside the prefix/origin/upstream sets: the
 // AlertDedupTTL/AlertDedupMax dedup bounds (the live set is retuned in
 // place), MaxMitigationRetries (read on every failure) and the
 // MaxEventsPerSecond / MitigationRatePerMin limits. Not hot-swappable:
 // the ManualMitigation wiring, fixed at construction.
-func (s *Service) Reconfigure(next *Config) error {
-	if err := next.Validate(); err != nil {
-		return err
-	}
-	next = next.Clone()
-	if next.Self == nil {
-		// Carry the self-announcement registry across reconfiguration:
-		// mitigations dispatched under the old snapshot stay expected.
-		next.Self = s.CurrentConfig().Self
-	}
-	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	if pl := s.boundPipeline(); pl != nil {
-		pl.Reconfigure(next, func() { s.SwapConfig(next) })
-		return nil
-	}
-	s.SwapConfig(next)
-	return nil
-}
-
-// SwapConfig applies a validated snapshot to every subsystem, with no
-// barrier of its own. Reconfigure runs it inline (serial mode) or on the
-// pipeline's worker at the barrier's serial position; a host that owns a
-// shared multi-tenant pipeline runs it from the onApply of its own
-// Pipeline.ReconfigureTable, so every tenant it retunes swaps at that one
-// position. next must carry the service's self-announcement registry.
 func (s *Service) SwapConfig(next *Config) {
 	s.Detector.setConfig(next)
 	s.Monitor.SetConfig(next)

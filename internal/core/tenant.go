@@ -101,8 +101,8 @@ type tableEntry struct {
 // snapshot the pipeline routes batches under: a shared dual-stack trie
 // mapping each owned prefix to the set of tenants that own it, plus the
 // per-tenant (config, detector, monitor) triples. Reconfiguration swaps
-// whole tables at a sink barrier, exactly like single-tenant config
-// snapshots — a batch in flight never mixes two tables.
+// whole tables at a sink barrier (Pipeline.ReconfigureTable), so a batch
+// in flight never mixes two tables.
 type PolicyTable struct {
 	entries []tableEntry
 	trie    *prefix.Trie[[]ownedRef]
@@ -170,49 +170,6 @@ func (t *PolicyTable) addOwned(o prefix.Prefix, ref ownedRef) {
 		}
 	}
 	t.trie.Insert(o, append(refs, ref))
-}
-
-// newSingleTable wraps one (config, detector, monitor) triple in an
-// unchecked table — NewPipeline's compatibility path, which must accept
-// any config its Detector accepted (including ones Validate would refuse,
-// e.g. intermediate states in tests). rt == nil builds a fresh runtime.
-func newSingleTable(cfg *Config, det *Detector, mon *Monitor, rt *TenantRuntime) *PolicyTable {
-	if rt == nil {
-		rt = &TenantRuntime{}
-	}
-	t := &PolicyTable{
-		entries: []tableEntry{{cfg: cfg, det: det, mon: mon, rt: rt}},
-		trie:    prefix.NewTrie[[]ownedRef](),
-		quotas:  cfg.MaxEventsPerSecond > 0,
-	}
-	for oi, o := range cfg.OwnedPrefixes {
-		t.addOwned(o, ownedRef{tenant: 0, ownedIdx: int32(oi)})
-	}
-	return t
-}
-
-// WithConfig derives the next table from t with tenant i's config replaced
-// by next: every tenant's detector, monitor and runtime (and the
-// quota-drop callback) carries over, and the shared trie is rebuilt. This
-// is Pipeline.Reconfigure's path — retune one tenant without touching the
-// others.
-func (t *PolicyTable) WithConfig(i int, next *Config) *PolicyTable {
-	nt := &PolicyTable{
-		entries:     append([]tableEntry(nil), t.entries...),
-		trie:        prefix.NewTrie[[]ownedRef](),
-		onQuotaDrop: t.onQuotaDrop,
-	}
-	nt.entries[i].cfg = next
-	for ti := range nt.entries {
-		e := &nt.entries[ti]
-		if e.cfg.MaxEventsPerSecond > 0 {
-			nt.quotas = true
-		}
-		for oi, o := range e.cfg.OwnedPrefixes {
-			nt.addOwned(o, ownedRef{tenant: int32(ti), ownedIdx: int32(oi)})
-		}
-	}
-	return nt
 }
 
 // OnQuotaDrop registers fn to receive per-batch quota-drop tallies on the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,7 +93,7 @@ func TestMultiTenantEquivalence(t *testing.T) {
 			indep := map[string]*tenantHarness{}
 			for _, name := range names {
 				h := newTenantHarness(tenantConfigs()[name])
-				p := NewPipeline(h.det, h.mon, PipelineConfig{QueueDepth: 4})
+				p := newPipeline(h.det, h.mon, PipelineConfig{QueueDepth: 4})
 				filter := feedtypes.Filter{
 					Prefixes:     h.cfg.OwnedPrefixes,
 					MoreSpecific: true,
@@ -165,10 +166,9 @@ func TestMultiTenantEquivalence(t *testing.T) {
 	}
 }
 
-// TestMultiTenantReconfigureOne: retuning one tenant through the table
-// derivation used by Pipeline.Reconfigure swaps that tenant's policy at a
-// barrier while the other tenants' state (and runtime counters) carry
-// over untouched.
+// TestMultiTenantReconfigureOne: retuning one tenant with a rebuilt table
+// swaps that tenant's policy at a barrier while the other tenants' state
+// (and runtime counters) carry over untouched.
 func TestMultiTenantReconfigureOne(t *testing.T) {
 	cfgs := tenantConfigs()
 	a, b := newTenantHarness(cfgs["alpha"]), newTenantHarness(cfgs["bravo"])
@@ -194,7 +194,14 @@ func TestMultiTenantReconfigureOne(t *testing.T) {
 	// Alpha sheds its 10.x space; bravo must be unaffected.
 	next := a.cfg.Clone()
 	next.OwnedPrefixes = []prefix.Prefix{prefix.MustParse("192.0.2.0/24")}
-	p.Reconfigure(next, func() { a.det.setConfig(next) })
+	nextTable, err := NewPolicyTable([]TenantPolicy{
+		{Name: "alpha", Config: next, Detector: a.det, Monitor: a.mon, Runtime: table.Runtime("alpha")},
+		{Name: "bravo", Config: b.cfg, Detector: b.det, Monitor: b.mon, Runtime: table.Runtime("bravo")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ReconfigureTable(nextTable, func() { a.det.setConfig(next) })
 
 	p.SubmitWait([]feedtypes.Event{announceEvent("10.0.0.0/24", 1002, 667)})
 	if got := len(a.det.Alerts()); got != 1 {
@@ -205,6 +212,37 @@ func TestMultiTenantReconfigureOne(t *testing.T) {
 	}
 	if got := p.table.Runtime("bravo").Events(); got != bravoEvents+1 {
 		t.Fatalf("bravo runtime did not carry across the swap: %d -> %d", bravoEvents, got)
+	}
+}
+
+// TestNewPolicyTableRejects: a table is refused whole when any tenant is
+// incomplete or invalid, or when two tenants share a name.
+func TestNewPolicyTableRejects(t *testing.T) {
+	ok := tenantConfigs()["alpha"]
+	det := NewDetector(ok)
+	for _, tc := range []struct {
+		name    string
+		tenants []TenantPolicy
+		want    string
+	}{
+		{"no tenants", nil, "at least one tenant"},
+		{"nil detector", []TenantPolicy{{Name: "a", Config: ok}}, "has no detector"},
+		{"nil config", []TenantPolicy{{Name: "a", Detector: det}}, "has no config"},
+		{"invalid config", []TenantPolicy{{Name: "a", Config: &Config{}, Detector: det}}, `tenant "a": `},
+		{"duplicate name", []TenantPolicy{
+			{Name: "a", Config: ok, Detector: det},
+			{Name: "a", Config: ok, Detector: det},
+		}, "duplicate tenant name"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			table, err := NewPolicyTable(tc.tenants)
+			if err == nil {
+				t.Fatalf("accepted: %v", table.Tenants())
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -314,7 +352,7 @@ func TestNoisyTenantQuotaIsolation(t *testing.T) {
 	}
 }
 
-// TestHotTuneDedupBounds: Reconfigure retunes the live alert-dedup window
+// TestHotTuneDedupBounds: a config swap retunes the live alert-dedup window
 // in place — shrinking the TTL expires aged incidents immediately (so a
 // recurring hijack re-alerts), and shrinking the size bound evicts down to
 // the new cap. Both were construction-time-only before.
@@ -432,9 +470,7 @@ func TestHotTuneMitigationRetries(t *testing.T) {
 	}
 	next := cfg.Clone()
 	next.MaxMitigationRetries = 1
-	if err := svc.Reconfigure(next); err != nil {
-		t.Fatal(err)
-	}
+	svc.SwapConfig(next)
 	if got := svc.CurrentConfig().MaxMitigationRetries; got != 1 {
 		t.Fatalf("MaxMitigationRetries after reconfigure = %d", got)
 	}

@@ -167,6 +167,9 @@ type Env struct {
 	// returns only once its consequences (alerts, mitigation scheduling)
 	// are in place.
 	Pipeline *core.Pipeline
+	// table is the one-tenant policy table Pipeline routes under;
+	// Reconfigure replaces it.
+	table *core.PolicyTable
 	// Ingest is the supervised fan-in tier between the feeds and the
 	// pipeline: cross-source dedup (the same route change seen by
 	// overlapping vantage points via several feeds is classified once,
@@ -341,10 +344,13 @@ func Build(opts Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.Pipeline = core.NewPipeline(env.Artemis.Detector, env.Artemis.Monitor, core.PipelineConfig{})
-	// Route config swaps through the pipeline barrier, so a mid-incident
-	// Reconfigure lands at a well-defined serial position in the stream.
-	env.Artemis.BindPipeline(env.Pipeline)
+	env.table, err = core.NewPolicyTable([]core.TenantPolicy{{
+		Config: env.Artemis.CurrentConfig(), Detector: env.Artemis.Detector, Monitor: env.Artemis.Monitor,
+	}})
+	if err != nil {
+		return nil, err
+	}
+	env.Pipeline = core.NewPipelineTable(env.table, core.PipelineConfig{})
 	deliver := env.Pipeline.SubmitWait
 	if opts.DeliverTee != nil {
 		tee, inner := opts.DeliverTee, deliver
@@ -382,6 +388,29 @@ func Build(opts Options) (*Env, error) {
 	}
 	env.track = newCaptureTracker(env)
 	return env, nil
+}
+
+// Reconfigure swaps the ARTEMIS config to next at one pipeline barrier,
+// the way the daemon's node retunes a tenant: next is cloned and keeps
+// the running self-announcement registry and tenant runtime, and
+// building the next policy table validates it before anything changes.
+// Events before the barrier are classified under the old config, events
+// after it under next. The feed subscriptions keep the owned set the
+// testbed was built with. Reconfigure must not be called from an alert
+// handler (the barrier waits on the pipeline worker it runs on).
+func (env *Env) Reconfigure(next *core.Config) error {
+	next = next.Clone()
+	next.Self = env.Artemis.CurrentConfig().Self
+	table, err := core.NewPolicyTable([]core.TenantPolicy{{
+		Config: next, Detector: env.Artemis.Detector, Monitor: env.Artemis.Monitor,
+		Runtime: env.table.Runtime(""),
+	}})
+	if err != nil {
+		return err
+	}
+	env.Pipeline.ReconfigureTable(table, func() { env.Artemis.SwapConfig(next) })
+	env.table = table
+	return nil
 }
 
 // Close releases the testbed's concurrent machinery (ingest supervisor,

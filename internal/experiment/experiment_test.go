@@ -275,6 +275,76 @@ func TestSourceDeathAutoWidensCoverage(t *testing.T) {
 	}
 }
 
+// TestEnvReconfigure: Env.Reconfigure installs a config at exactly one
+// pipeline barrier mid-trial, keeps the tenant's runtime, and refuses an
+// invalid config without taking a barrier. Shedding the attacked prefix
+// before the hijack silences it; the same script without the swap alerts.
+func TestEnvReconfigure(t *testing.T) {
+	attacked, kept := prefix.MustParse("10.0.0.0/23"), prefix.MustParse("172.16.0.0/22")
+	run := func(t *testing.T, shed bool) Trial {
+		opts := smallOpts(3)
+		opts.OwnedSet = []prefix.Prefix{attacked, kept}
+		opts.Owned = attacked
+		env, err := Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer env.Close()
+		swap := func(e *Env) error {
+			if !shed {
+				return nil
+			}
+			before := e.Artemis.CurrentConfig()
+			reconfigs := e.Pipeline.Snapshot().Reconfigs
+			if err := e.Reconfigure(&core.Config{}); err == nil {
+				t.Error("invalid config accepted")
+			}
+			if got := e.Pipeline.Snapshot().Reconfigs; got != reconfigs {
+				t.Errorf("rejected config took %d barriers", got-reconfigs)
+			}
+			if e.Artemis.CurrentConfig() != before {
+				t.Error("rejected config replaced the current one")
+			}
+
+			rt := e.table.Runtime("")
+			events := rt.Events()
+			next := before.Clone()
+			next.OwnedPrefixes = []prefix.Prefix{kept}
+			if err := e.Reconfigure(next); err != nil {
+				return err
+			}
+			if got := e.Pipeline.Snapshot().Reconfigs; got != reconfigs+1 {
+				t.Errorf("one Reconfigure took %d barriers", got-reconfigs)
+			}
+			if e.table.Runtime("") != rt || rt.Events() != events || events == 0 {
+				t.Errorf("tenant runtime did not carry over: %d events before the swap, %d after",
+					events, e.table.Runtime("").Events())
+			}
+			if got := e.Artemis.CurrentConfig(); len(got.OwnedPrefixes) != 1 || got.Self != before.Self {
+				t.Errorf("swapped config = %+v", got)
+			}
+			return nil
+		}
+		tr, err := RunScript(env, []ScriptStep{
+			{Name: "shed the attacked prefix", Do: swap},
+			{After: time.Minute, Name: "hijack", Hijack: true, Do: func(e *Env) error {
+				_, err := e.LaunchAttack()
+				return err
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	if tr := run(t, false); !tr.Detected {
+		t.Fatal("hijack of an owned prefix undetected without the swap")
+	}
+	if tr := run(t, true); tr.Detected {
+		t.Fatalf("hijack of a shed prefix alerted: %+v", tr)
+	}
+}
+
 // E1 headline latencies must hold for a v6-only victim and for each
 // family of a mixed v4/v6 owned set.
 func TestE1MixedFamilies(t *testing.T) {

@@ -126,18 +126,16 @@ func TestServerClientEndToEnd(t *testing.T) {
 	nw.Announce(topo.FirstASN, prefix.MustParse("192.0.2.0/24")) // filtered out client-side
 	go eng.RunPaced(1000, 0, 200*time.Millisecond)
 
+	// Recv blocks on the socket; closing the client ends a stalled read.
+	stall := time.AfterFunc(5*time.Second, func() { client.Close() })
+	defer stall.Stop()
 	var got []feedtypes.Event
-	timeout := time.After(5 * time.Second)
 	for len(got) < 2 {
-		select {
-		case ev, ok := <-client.Events():
-			if !ok {
-				t.Fatalf("stream closed: %v", client.Err())
-			}
-			got = append(got, ev)
-		case <-timeout:
-			t.Fatalf("timeout with %d events", len(got))
+		batch, err := client.Recv()
+		if err != nil {
+			t.Fatalf("stream ended with %d events: %v", len(got), err)
 		}
+		got = append(got, batch...)
 	}
 	for _, ev := range got {
 		if ev.Prefix.String() != "10.0.0.0/23" {

@@ -2,68 +2,55 @@ package bgpmon
 
 import (
 	"encoding/xml"
-	"io"
 	"net"
 
 	"artemis/internal/feeds/feedtypes"
 )
 
 // Client consumes a BGPmon server's XML stream, applying a prefix filter
-// locally (the server streams everything, as BGPmon did).
+// locally (the server streams everything, as BGPmon did). It decodes on
+// the goroutine that calls Recv.
 type Client struct {
 	conn   net.Conn
+	dec    *xml.Decoder
 	filter feedtypes.Filter
-	events chan feedtypes.Event
-	errs   chan error
+	batch  []feedtypes.Event
 }
 
-// DialClient connects to a Server and starts decoding.
+// DialClient connects to a Server.
 func DialClient(addr string, f feedtypes.Filter) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, filter: f, events: make(chan feedtypes.Event, 256), errs: make(chan error, 1)}
-	go c.readLoop()
-	return c, nil
+	return &Client{conn: conn, dec: xml.NewDecoder(conn), filter: f}, nil
 }
 
-func (c *Client) readLoop() {
-	defer close(c.events)
-	dec := xml.NewDecoder(c.conn)
+// Recv decodes messages until one yields events that pass the filter and
+// returns those events. The batch is reused: it is valid until the next
+// Recv. The end of the stream returns io.EOF; a message that fails to
+// decode returns its error.
+func (c *Client) Recv() ([]feedtypes.Event, error) {
 	for {
 		var m xmlMessage
-		if err := dec.Decode(&m); err != nil {
-			if err != io.EOF {
-				c.errs <- err
-			}
-			return
+		if err := c.dec.Decode(&m); err != nil {
+			return nil, err
 		}
 		evs, err := xmlToEvents(m)
 		if err != nil {
-			c.errs <- err
-			return
+			return nil, err
 		}
+		c.batch = c.batch[:0]
 		for _, ev := range evs {
 			if c.filter.Match(ev.Prefix) {
-				c.events <- ev
+				c.batch = append(c.batch, ev)
 			}
+		}
+		if len(c.batch) > 0 {
+			return c.batch, nil
 		}
 	}
 }
 
-// Events returns the filtered stream; the channel closes on disconnect.
-func (c *Client) Events() <-chan feedtypes.Event { return c.events }
-
-// Err reports the terminal error, if any, after Events closes.
-func (c *Client) Err() error {
-	select {
-	case err := <-c.errs:
-		return err
-	default:
-		return nil
-	}
-}
-
-// Close disconnects.
+// Close disconnects, unblocking a pending Recv.
 func (c *Client) Close() error { return c.conn.Close() }

@@ -88,7 +88,7 @@ func (sc Scenario) steps() ([]experiment.ScriptStep, error) {
 			After: 20 * time.Second,
 			Name:  "config swap",
 			Do: func(e *experiment.Env) error {
-				return e.Artemis.Reconfigure(e.Artemis.CurrentConfig().Clone())
+				return e.Reconfigure(e.Artemis.CurrentConfig())
 			},
 		}
 		return []experiment.ScriptStep{attack, swap}, nil

@@ -50,65 +50,20 @@ func RISDialerDynamic(url string, f FilterFunc) Dialer {
 	})
 }
 
-// BGPmonDialer returns a Dialer for a BGPmon-style XML TCP stream
-// (host:port). Its per-event stream is coalesced into batches: one event
-// minimum, then whatever the client has already buffered.
-func BGPmonDialer(addr string, f feedtypes.Filter) Dialer {
-	return BGPmonDialerDynamic(addr, StaticFilter(f))
-}
-
-// BGPmonDialerDynamic is BGPmonDialer with the filter resolved at every
-// (re)dial (the BGPmon client filters client-side, but binds the filter
-// per connection).
+// BGPmonDialerDynamic returns a Dialer for a BGPmon-style XML TCP
+// stream (host:port), with the filter resolved at every (re)dial (the
+// BGPmon client filters client-side, but binds the filter per
+// connection). Its connections decode on the supervisor's reader
+// goroutine, one message's matching events per Recv.
 func BGPmonDialerDynamic(addr string, f FilterFunc) Dialer {
 	return DialFunc(func() (Conn, error) {
-		cli, err := bgpmon.DialClient(addr, f())
+		c, err := bgpmon.DialClient(addr, f())
 		if err != nil {
 			return nil, err
 		}
-		return &chanConn{events: cli.Events(), close: cli.Close, err: cli.Err}, nil
+		return c, nil
 	})
 }
-
-// chanConn adapts a per-event channel client (the BGPmon network client)
-// to the batch Conn interface. The batch buffer is reused
-// across Recv calls — allowed by Conn's contract, since the supervisor
-// copies each batch into pooled storage before queueing — so a hot feed
-// coalesces events with zero allocations per delivery.
-type chanConn struct {
-	events <-chan feedtypes.Event
-	close  func() error
-	err    func() error
-	buf    []feedtypes.Event
-}
-
-func (c *chanConn) Recv() ([]feedtypes.Event, error) {
-	ev, ok := <-c.events
-	if !ok {
-		if err := c.err(); err != nil {
-			return nil, err
-		}
-		return nil, io.EOF
-	}
-	batch := append(c.buf[:0], ev)
-	defer func() { c.buf = batch }()
-	for len(batch) < maxRecvBatch {
-		select {
-		case next, ok := <-c.events:
-			if !ok {
-				// Deliver what we have; the next Recv reports why the
-				// stream ended.
-				return batch, nil
-			}
-			batch = append(batch, next)
-		default:
-			return batch, nil
-		}
-	}
-	return batch, nil
-}
-
-func (c *chanConn) Close() error { return c.close() }
 
 // ReplayDialer replays pre-chunked batches as one finite source ending in
 // ErrDone — deterministic ingest of captured feed data, and the workload

@@ -35,6 +35,15 @@ func (r *recordingAnnouncer) all() []prefix.Prefix {
 	return append([]prefix.Prefix(nil), r.announced...)
 }
 
+// newPipeline starts a one-tenant pipeline under det's config.
+func newPipeline(det *core.Detector, mon *core.Monitor, cfg core.PipelineConfig) *core.Pipeline {
+	table, err := core.NewPolicyTable([]core.TenantPolicy{{Config: det.Config(), Detector: det, Monitor: mon}})
+	if err != nil {
+		panic(err)
+	}
+	return core.NewPipelineTable(table, cfg)
+}
+
 func equivConfig() *core.Config {
 	return &core.Config{
 		// A dual-stack owned portfolio: the paper's v4 shape plus a v6 /32,
@@ -182,7 +191,7 @@ func TestMultiSourceFanInMatchesSerialDedupedUnion(t *testing.T) {
 				fanMit := core.NewMitigator(equivConfig(), fanAnn, now)
 				fanQ := core.NewMitigationQueue(fanMit.HandleAlert, core.MitigationQueueConfig{Synchronous: true}, nil)
 				fanDet.OnAlert(fanQ.Enqueue)
-				pl := core.NewPipeline(fanDet, fanMon, core.PipelineConfig{QueueDepth: 4})
+				pl := newPipeline(fanDet, fanMon, core.PipelineConfig{QueueDepth: 4})
 				sup := ingest.New(pl.SubmitWait, ingest.Config{DedupTTL: 24 * time.Hour})
 				hubs := make([]hubSource, k)
 				for s := 0; s < k; s++ {
@@ -315,7 +324,7 @@ func TestAsyncFanInConvergesToSameIncidents(t *testing.T) {
 
 	fanDet := core.NewDetector(equivConfig())
 	fanMon := core.NewMonitor(equivConfig())
-	pl := core.NewPipeline(fanDet, fanMon, core.PipelineConfig{})
+	pl := newPipeline(fanDet, fanMon, core.PipelineConfig{})
 	sup := ingest.New(pl.Submit, ingest.Config{QueueDepth: 1 << 10, DedupTTL: 24 * time.Hour})
 
 	// Pre-chunk each source's stream and replay all of them concurrently

@@ -216,7 +216,7 @@ func TestSoakFlappingFeeds(t *testing.T) {
 	}
 	det := core.NewDetector(cfg)
 	mon := core.NewMonitor(cfg)
-	pl := core.NewPipeline(det, mon, core.PipelineConfig{})
+	pl := newPipeline(det, mon, core.PipelineConfig{})
 	defer pl.Close()
 	sup := ingest.New(pl.Submit, ingest.Config{
 		QueueDepth:  32,
@@ -226,7 +226,7 @@ func TestSoakFlappingFeeds(t *testing.T) {
 	})
 	defer sup.Close()
 	risID := sup.AddDialer("ris[0]", ingest.RISDialer("ws://"+risAddr+"/v1/ws", watchFilter))
-	bmonID := sup.AddDialer("bgpmon[0]", ingest.BGPmonDialer(bmonAddr, watchFilter))
+	bmonID := sup.AddDialer("bgpmon[0]", ingest.BGPmonDialerDynamic(bmonAddr, ingest.StaticFilter(watchFilter)))
 
 	// Flap both servers until the soak deadline.
 	deadline := time.Now().Add(soak)

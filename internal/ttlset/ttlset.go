@@ -49,7 +49,7 @@ func New[K comparable](ttl time.Duration, max int) *Set[K] {
 // mark); a shrunk max evicts oldest entries down to the new bound. Entries
 // keep their original insertion stamps, so a grown TTL extends the life of
 // everything still in the set. This is what makes the dedup windows
-// hot-tunable on Reconfigure instead of construction-time-only.
+// hot-tunable on a config swap instead of construction-time-only.
 func (s *Set[K]) SetBounds(ttl time.Duration, max int) {
 	s.ttl, s.max = ttl, max
 	s.advance(s.now)
