@@ -82,8 +82,8 @@ func WithConfigDelay(d time.Duration) Option {
 	return func(c *Controller) { c.configDelay = d }
 }
 
-// New builds a controller over an injector using the given clock. For
-// simulation use NewSim; for wall-clock use NewReal.
+// New builds a controller over an injector using the given clock: now
+// reads it and after schedules on it. For simulation use NewSim.
 func New(inj RouteInjector, now func() time.Duration, after func(time.Duration, func()), opts ...Option) *Controller {
 	c := &Controller{inj: inj, configDelay: DefaultConfigDelay, now: now, after: after}
 	for _, o := range opts {
@@ -95,15 +95,6 @@ func New(inj RouteInjector, now func() time.Duration, after func(time.Duration, 
 // NewSim builds a controller driven by the simulation engine's clock.
 func NewSim(nw *simnet.Network, inj RouteInjector, opts ...Option) *Controller {
 	return New(inj, nw.Engine.Now, nw.Engine.After, opts...)
-}
-
-// NewReal builds a controller on the wall clock (live demo mode).
-func NewReal(inj RouteInjector, opts ...Option) *Controller {
-	start := time.Now()
-	return New(inj,
-		func() time.Duration { return time.Since(start) },
-		func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
-		opts...)
 }
 
 // Announce asks the controller to originate p. The route leaves the

@@ -8,11 +8,18 @@ import (
 )
 
 // MitigationQueue decouples alert handling from the goroutine that raises
-// alerts. The detection pipeline's sink commits alerts and dispatches
-// handlers inline; before this stage existed, a slow controller southbound
-// (a slow REST call) stalled the sink and therefore the whole
-// ingest path. The queue gives mitigation its own goroutine behind a
-// bounded, ordered channel:
+// alerts. It does not exist to keep a slow southbound off the sink: the
+// controller has always deferred its REST call through its clock's
+// after, so the sink never waited on it. It exists for detection
+// latency. With the queue deleted and the handler run at alert commit
+// (after the alert observers), 30 s end-to-end runs on a 2-vCPU guest
+// measured glass-mixed detect p50 at 0.762 ms against 0.548 ms with the
+// queue (5 alternating pairs, every run without it slower) and
+// ris-paced at 0.815 against 0.514 ms, while mitigate p50 moved only
+// 0.740 -> 0.717 and 0.763 -> 0.744 ms. The likely cause, not traced:
+// on the daemon's one busy CPU the southbound POST goroutine ran before
+// the alert's SSE writer. The queue gives mitigation its own goroutine
+// behind a bounded, ordered channel:
 //
 //   - Ordered: alerts are handled in enqueue order — the order the sink
 //     committed them — so mitigation records stay deterministic.

@@ -1,9 +1,12 @@
 package artemis
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
+	"strings"
 	"time"
 
 	"artemis/internal/prefix"
@@ -310,11 +313,13 @@ func cloneUpstreams(u map[uint32][]uint32) map[uint32][]uint32 {
 // scope un-scoped control-plane calls act on.
 const DefaultTenant = "default"
 
-// Validate checks a programmatically built config. Configs loaded via
-// LoadConfig/ParseConfig are already validated with line positions.
+// Validate checks a config. It is the one validator for every way a
+// config arrives: a file (ParseConfig), the state file, POST /v1/config
+// and New. An error about one field carries that field's path, which
+// ParseConfig turns into a line number.
 func (c *Config) Validate() error {
 	if len(c.Prefixes) == 0 && len(c.Tenants) == 0 {
-		return fmt.Errorf("artemis: no owned prefixes or tenants configured")
+		return fmt.Errorf("artemis: missing required key \"prefixes\" (or \"tenants\")")
 	}
 	if len(c.Prefixes) > 0 {
 		if err := validateScope(c.Prefixes, c.Origins); err != nil {
@@ -325,33 +330,33 @@ func (c *Config) Validate() error {
 	for i := range c.Tenants {
 		t := &c.Tenants[i]
 		if err := t.validate(); err != nil {
-			return err
+			return at(err, "tenants", i)
 		}
 		if tnames[t.Name] {
-			return fmt.Errorf("artemis: duplicate tenant name %q", t.Name)
+			return at(fmt.Errorf("artemis: duplicate tenant name %q", t.Name), "tenants", i)
 		}
 		tnames[t.Name] = true
 	}
 	names := map[string]bool{}
 	for i := range c.Sources {
 		if err := c.Sources[i].validate(); err != nil {
-			return err
+			return at(err, "sources", i)
 		}
 		if n := c.Sources[i].Name; n != "" {
 			if names[n] {
-				return fmt.Errorf("artemis: duplicate source name %q", n)
+				return at(fmt.Errorf("artemis: duplicate source name %q", n), "sources", i)
 			}
 			names[n] = true
 		}
 	}
 	if c.RPKI.Path != "" && c.RPKI.URL != "" {
-		return fmt.Errorf("artemis: rpki needs path or url, not both")
+		return at(fmt.Errorf("artemis: rpki needs path or url, not both"), "rpki")
 	}
 	if c.RPKI.Refresh != 0 && c.RPKI.URL == "" {
-		return fmt.Errorf("artemis: rpki refresh needs a url source")
+		return at(fmt.Errorf("artemis: rpki refresh needs a url source"), "rpki")
 	}
 	if c.RPKI.Refresh < 0 {
-		return fmt.Errorf("artemis: negative rpki refresh")
+		return at(fmt.Errorf("artemis: negative rpki refresh"), "rpki", "refresh")
 	}
 	return nil
 }
@@ -359,18 +364,18 @@ func (c *Config) Validate() error {
 // validateScope checks one tenant scope's prefix/origin lists.
 func validateScope(prefixes []string, origins []uint32) error {
 	seen := map[prefix.Prefix]bool{}
-	for _, s := range prefixes {
+	for i, s := range prefixes {
 		p, err := prefix.Parse(s)
 		if err != nil {
-			return fmt.Errorf("artemis: bad prefix %q: %v", s, err)
+			return at(fmt.Errorf("artemis: bad prefix %q: %v", s, err), "prefixes", i)
 		}
 		if seen[p] {
-			return fmt.Errorf("artemis: duplicate prefix %q", s)
+			return at(fmt.Errorf("artemis: duplicate prefix %q", s), "prefixes", i)
 		}
 		seen[p] = true
 	}
 	if len(origins) == 0 {
-		return fmt.Errorf("artemis: no legitimate origins configured")
+		return at(fmt.Errorf("artemis: missing required key \"origins\""), "origins")
 	}
 	return nil
 }
@@ -380,16 +385,16 @@ func (t *TenantSpec) validate() error {
 		return fmt.Errorf("artemis: tenant missing name")
 	}
 	if t.Name == DefaultTenant {
-		return fmt.Errorf("artemis: tenant name %q is reserved for the top-level prefixes", DefaultTenant)
+		return at(fmt.Errorf("artemis: tenant name %q is reserved for the top-level prefixes", DefaultTenant), "name")
 	}
 	if len(t.Prefixes) == 0 {
 		return fmt.Errorf("artemis: tenant %q has no prefixes", t.Name)
 	}
 	if err := validateScope(t.Prefixes, t.Origins); err != nil {
-		return fmt.Errorf("%v (tenant %q)", err, t.Name)
+		return fmt.Errorf("%w (tenant %q)", err, t.Name)
 	}
 	if t.Limits.MaxEventsPerSec < 0 || t.Limits.MitigationRatePerMin < 0 || t.Limits.StreamBuffer < 0 {
-		return fmt.Errorf("artemis: tenant %q has negative limits", t.Name)
+		return at(fmt.Errorf("artemis: tenant %q has negative limits", t.Name), "limits")
 	}
 	return nil
 }
@@ -433,6 +438,33 @@ func (s *SourceSpec) validate() error {
 	return nil
 }
 
+// fieldError is a validation error about one field, tagged with the
+// field's path from the enclosing value, e.g. ("tenants", 2, "prefixes",
+// 0): JSON names and slice indices. Its text is the wrapped error's.
+type fieldError struct {
+	path []any
+	err  error
+}
+
+func (e *fieldError) Error() string { return e.err.Error() }
+func (e *fieldError) Unwrap() error { return e.err }
+
+// at tags err with the path of the field it is about, relative to the
+// value being validated; a caller one level up tags it again.
+func at(err error, path ...any) error { return &fieldError{path: path, err: err} }
+
+// fieldPath joins the paths of every fieldError in err's chain, outermost
+// first, into the path from the root config.
+func fieldPath(err error) []any {
+	var path []any
+	for ; err != nil; err = errors.Unwrap(err) {
+		if fe, ok := err.(*fieldError); ok {
+			path = append(path, fe.path...)
+		}
+	}
+	return path
+}
+
 // LoadConfig reads and parses a declarative config file. Errors point at
 // file:line.
 func LoadConfig(path string) (*Config, error) {
@@ -444,380 +476,170 @@ func LoadConfig(path string) (*Config, error) {
 }
 
 // ParseConfig parses config data; name labels error positions (usually
-// the file path). Every syntactic and semantic error is positioned:
-// unknown keys, malformed prefixes, bad durations, incomplete sources.
+// the file path). The YAML decodes by the JSON field tags and is checked
+// by Validate, so a file accepts exactly the configs POST /v1/config
+// does. Every error points at a line: unknown keys, malformed values,
+// and each Validate error at the deepest node on its field's path.
 func ParseConfig(data []byte, name string) (*Config, error) {
 	root, err := parseYamlite(data, name)
 	if err != nil {
 		return nil, err
 	}
-	d := &configDecoder{name: name}
-	cfg := d.decode(root)
-	if d.err != nil {
-		return nil, d.err
+	cfg := &Config{}
+	if err := decodeYAML(name, "config", root, reflect.ValueOf(cfg).Elem()); err != nil {
+		return nil, err
+	}
+	if cfg.RIB.Path != "" {
+		cfg.RIB.Enabled = true // a bootstrap snapshot implies the table
+	}
+	if err := cfg.Validate(); err != nil {
+		line := lineOf(root, fieldPath(err))
+		return nil, fmt.Errorf("%s:%d: %s", name, line, strings.TrimPrefix(err.Error(), "artemis: "))
 	}
 	return cfg, nil
 }
 
-// configDecoder walks the node tree, remembering the first error.
-type configDecoder struct {
-	name string
-	err  error
+// lineOf follows path from n and returns the line of the deepest node it
+// reaches.
+func lineOf(n *yamlNode, path []any) int {
+	for _, step := range path {
+		var next *yamlNode
+		switch s := step.(type) {
+		case string:
+			next = n.child(yamlKey(s))
+		case int:
+			if n.kind == yList && s < len(n.items) {
+				next = n.items[s]
+			}
+		}
+		if next == nil {
+			break
+		}
+		n = next
+	}
+	return n.line
 }
 
-func (d *configDecoder) fail(line int, format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s:%d: %s", d.name, line, fmt.Sprintf(format, args...))
-	}
-}
+// yamlKey is the YAML key of the field with JSON name jsonName.
+func yamlKey(jsonName string) string { return strings.ReplaceAll(jsonName, "_", "-") }
 
-// checkKeys rejects unknown keys so typos fail loudly, with the line.
-func (d *configDecoder) checkKeys(n *yamlNode, allowed ...string) {
-	for _, k := range n.keys {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
+// decodeYAML decodes n into v by v's JSON field tags, the one schema the
+// config has: a mapping decodes into a struct, keyed by each field's
+// JSON name with '-' for '_'; a sequence, or a bare scalar, into a
+// slice; a mapping keyed by origin ASN into map[uint32][]uint32. Every
+// uint32 is an ASN. key names n in errors; name labels their positions.
+func decodeYAML(name, key string, n *yamlNode, v reflect.Value) error {
+	fail := func(line int, format string, args ...any) error {
+		return fmt.Errorf("%s:%d: %s", name, line, fmt.Sprintf(format, args...))
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		if n.kind != yMap {
+			return fail(n.line, "%s must be a mapping, not a %s", key, n.kind)
+		}
+		for _, k := range n.keys {
+			i := yamlField(v.Type(), k)
+			if i < 0 {
+				return fail(n.vals[k].line, "unknown key %q", k)
+			}
+			if err := decodeYAML(name, k, n.vals[k], v.Field(i)); err != nil {
+				return err
 			}
 		}
-		if !ok {
-			d.fail(n.vals[k].line, "unknown key %q", k)
-		}
-	}
-}
-
-func (d *configDecoder) decode(root *yamlNode) *Config {
-	cfg := &Config{}
-	if root.kind != yMap {
-		d.fail(root.line, "config must be a mapping")
-		return cfg
-	}
-	d.checkKeys(root, "prefixes", "origins", "upstreams", "tenants", "sources", "mitigation", "record", "tuning", "control", "rib", "rpki", "asnames")
-
-	if n := root.child("prefixes"); n != nil {
-		for _, item := range d.scalarList(n) {
-			if _, err := prefix.Parse(item.scalar); err != nil {
-				d.fail(item.line, "bad prefix %q: %v", item.scalar, err)
-			}
-			cfg.Prefixes = append(cfg.Prefixes, item.scalar)
-		}
-	} else if root.child("tenants") == nil {
-		d.fail(root.line, "missing required key \"prefixes\" (or \"tenants\")")
-	}
-	if n := root.child("origins"); n != nil {
-		for _, item := range d.scalarList(n) {
-			cfg.Origins = append(cfg.Origins, d.asASN(item))
-		}
-	} else if root.child("prefixes") != nil {
-		d.fail(root.line, "missing required key \"origins\"")
-	}
-	cfg.Upstreams = d.decodeUpstreams(root.child("upstreams"))
-	if n := root.child("tenants"); n != nil {
-		if n.kind != yList {
-			d.fail(n.line, "tenants must be a sequence")
-		} else {
-			for _, item := range n.items {
-				cfg.Tenants = append(cfg.Tenants, d.decodeTenant(item))
-			}
-		}
-	}
-	if n := root.child("sources"); n != nil {
-		if n.kind != yList {
-			d.fail(n.line, "sources must be a sequence")
-		} else {
-			for _, item := range n.items {
-				cfg.Sources = append(cfg.Sources, d.decodeSource(item))
-			}
-		}
-	}
-	if n := root.child("mitigation"); n != nil && d.isMap(n, "mitigation") {
-		d.checkKeys(n, "controller", "config-delay", "queue-depth", "max-deagg-len", "max-deagg-len6", "manual")
-		cfg.Mitigation.Controller = d.optScalar(n, "controller")
-		cfg.Mitigation.ConfigDelay = d.optDuration(n, "config-delay")
-		cfg.Mitigation.QueueDepth = d.optInt(n, "queue-depth")
-		cfg.Mitigation.MaxDeaggLen = d.optInt(n, "max-deagg-len")
-		cfg.Mitigation.MaxDeaggLen6 = d.optInt(n, "max-deagg-len6")
-		cfg.Mitigation.Manual = d.optBool(n, "manual")
-	}
-	if n := root.child("record"); n != nil && d.isMap(n, "record") {
-		d.checkKeys(n, "path", "max-file-size", "max-file-age", "queue-depth")
-		cfg.Record.Path = d.optScalar(n, "path")
-		cfg.Record.MaxFileSize = int64(d.optInt(n, "max-file-size"))
-		cfg.Record.MaxFileAge = d.optDuration(n, "max-file-age")
-		cfg.Record.QueueDepth = d.optInt(n, "queue-depth")
-	}
-	if n := root.child("tuning"); n != nil && d.isMap(n, "tuning") {
-		d.checkKeys(n, "source-queue", "dedup-ttl", "alert-ttl", "alert-dedup-max", "max-mitigation-retries")
-		cfg.Tuning.SourceQueue = d.optInt(n, "source-queue")
-		cfg.Tuning.DedupTTL = d.optDuration(n, "dedup-ttl")
-		cfg.Tuning.AlertTTL = d.optDuration(n, "alert-ttl")
-		cfg.Tuning.AlertDedupMax = d.optInt(n, "alert-dedup-max")
-		cfg.Tuning.MaxMitigationRetries = d.optInt(n, "max-mitigation-retries")
-	}
-	if n := root.child("control"); n != nil && d.isMap(n, "control") {
-		d.checkKeys(n, "listen", "admin-token", "state-file")
-		cfg.Control.Listen = d.optScalar(n, "listen")
-		cfg.Control.AdminToken = d.optScalar(n, "admin-token")
-		cfg.Control.StateFile = d.optScalar(n, "state-file")
-	}
-	if n := root.child("rib"); n != nil && d.isMap(n, "rib") {
-		d.checkKeys(n, "enabled", "path")
-		cfg.RIB.Enabled = d.optBool(n, "enabled")
-		cfg.RIB.Path = d.optScalar(n, "path")
-		if cfg.RIB.Path != "" {
-			cfg.RIB.Enabled = true
-		}
-	}
-	if n := root.child("rpki"); n != nil && d.isMap(n, "rpki") {
-		d.checkKeys(n, "path", "url", "refresh")
-		cfg.RPKI.Path = d.optScalar(n, "path")
-		cfg.RPKI.URL = d.optScalar(n, "url")
-		cfg.RPKI.Refresh = d.optDuration(n, "refresh")
-		if cfg.RPKI.Path != "" && cfg.RPKI.URL != "" {
-			d.fail(n.line, "rpki needs path or url, not both")
-		}
-		if cfg.RPKI.Refresh != 0 && cfg.RPKI.URL == "" {
-			d.fail(n.line, "rpki refresh needs a url source")
-		}
-	}
-	if n := root.child("asnames"); n != nil && d.isMap(n, "asnames") {
-		d.checkKeys(n, "path")
-		cfg.ASNames.Path = d.optScalar(n, "path")
-	}
-
-	// Cross-field validation that has no better position than the list
-	// items themselves.
-	if d.err == nil {
-		seen := map[string]bool{}
-		for _, item := range d.scalarList(root.child("prefixes")) {
-			p, _ := prefix.Parse(item.scalar)
-			key := p.String()
-			if seen[key] {
-				d.fail(item.line, "duplicate prefix %q", item.scalar)
-			}
-			seen[key] = true
-		}
-		if len(cfg.Prefixes) > 0 && len(cfg.Origins) == 0 {
-			d.fail(root.line, "missing required key \"origins\"")
-		}
-		tnames := map[string]bool{}
-		if n := root.child("tenants"); n != nil && n.kind == yList {
-			for i, item := range n.items {
-				t := &cfg.Tenants[i]
-				if err := t.validate(); err != nil {
-					d.fail(item.line, "%v", err)
-				}
-				if tnames[t.Name] {
-					d.fail(item.line, "duplicate tenant name %q", t.Name)
-				}
-				tnames[t.Name] = true
-			}
-		}
-		names := map[string]bool{}
-		if n := root.child("sources"); n != nil && n.kind == yList {
-			for i, item := range n.items {
-				name := cfg.Sources[i].Name
-				if name == "" {
-					continue
-				}
-				if names[name] {
-					d.fail(item.line, "duplicate source name %q", name)
-				}
-				names[name] = true
-			}
-		}
-	}
-	return cfg
-}
-
-// decodeUpstreams decodes an origin→neighbors mapping (nil node → nil map).
-func (d *configDecoder) decodeUpstreams(n *yamlNode) map[uint32][]uint32 {
-	if n == nil {
 		return nil
-	}
-	if n.kind != yMap {
-		d.fail(n.line, "upstreams must map origin ASN to a list of neighbor ASNs")
-		return nil
-	}
-	out := make(map[uint32][]uint32, len(n.keys))
-	for _, k := range n.keys {
-		origin, err := strconv.ParseUint(k, 10, 32)
-		if err != nil {
-			d.fail(n.vals[k].line, "bad origin ASN %q", k)
-			continue
+	case reflect.Slice:
+		items := n.items
+		switch n.kind {
+		case yScalar:
+			items = nil
+			if n.scalar != "" {
+				items = []*yamlNode{n}
+			}
+		case yMap:
+			return fail(n.line, "%s must be a sequence, not a %s", key, n.kind)
 		}
-		var ups []uint32
-		for _, item := range d.scalarList(n.vals[k]) {
-			ups = append(ups, d.asASN(item))
-		}
-		out[uint32(origin)] = ups
-	}
-	return out
-}
-
-// decodeTenant decodes one tenants: list item.
-func (d *configDecoder) decodeTenant(n *yamlNode) TenantSpec {
-	spec := TenantSpec{}
-	if n.kind != yMap {
-		d.fail(n.line, "each tenant must be a mapping with a \"name\"")
-		return spec
-	}
-	d.checkKeys(n, "name", "prefixes", "origins", "upstreams", "token", "limits")
-	spec.Name = d.optScalar(n, "name")
-	for _, item := range d.scalarList(n.child("prefixes")) {
-		if _, err := prefix.Parse(item.scalar); err != nil {
-			d.fail(item.line, "bad prefix %q: %v", item.scalar, err)
-		}
-		spec.Prefixes = append(spec.Prefixes, item.scalar)
-	}
-	for _, item := range d.scalarList(n.child("origins")) {
-		spec.Origins = append(spec.Origins, d.asASN(item))
-	}
-	spec.Upstreams = d.decodeUpstreams(n.child("upstreams"))
-	spec.Token = d.optScalar(n, "token")
-	if l := n.child("limits"); l != nil && d.isMap(l, "limits") {
-		d.checkKeys(l, "max-events-per-sec", "mitigation-rate-per-min", "stream-buffer")
-		spec.Limits.MaxEventsPerSec = d.optInt(l, "max-events-per-sec")
-		spec.Limits.MitigationRatePerMin = d.optInt(l, "mitigation-rate-per-min")
-		spec.Limits.StreamBuffer = d.optInt(l, "stream-buffer")
-	}
-	return spec
-}
-
-func (d *configDecoder) decodeSource(n *yamlNode) SourceSpec {
-	spec := SourceSpec{}
-	if n.kind != yMap {
-		d.fail(n.line, "each source must be a mapping with a \"type\"")
-		return spec
-	}
-	d.checkKeys(n, "type", "name", "url", "addr", "path", "interval", "lgs", "speed", "max-events-per-sec")
-	spec.Type = d.optScalar(n, "type")
-	spec.Name = d.optScalar(n, "name")
-	spec.URL = d.optScalar(n, "url")
-	spec.Addr = d.optScalar(n, "addr")
-	spec.Path = d.optScalar(n, "path")
-	spec.Interval = d.optDuration(n, "interval")
-	spec.Speed = d.optFloat(n, "speed")
-	spec.MaxEventsPerSec = d.optInt(n, "max-events-per-sec")
-	if lg := n.child("lgs"); lg != nil {
-		for _, item := range d.scalarList(lg) {
-			spec.LGs = append(spec.LGs, item.scalar)
-		}
-	}
-	if err := spec.validate(); err != nil {
-		d.fail(n.line, "%v", err)
-	}
-	return spec
-}
-
-func (d *configDecoder) isMap(n *yamlNode, what string) bool {
-	if n.kind != yMap {
-		d.fail(n.line, "%s must be a mapping", what)
-		return false
-	}
-	return true
-}
-
-// scalarList returns a node's items as scalars, accepting both block and
-// inline sequences (and a bare scalar as a one-element list).
-func (d *configDecoder) scalarList(n *yamlNode) []*yamlNode {
-	if n == nil {
-		return nil
-	}
-	switch n.kind {
-	case yScalar:
-		if n.scalar == "" {
+		if len(items) == 0 {
 			return nil
 		}
-		return []*yamlNode{n}
-	case yList:
-		out := make([]*yamlNode, 0, len(n.items))
-		for _, item := range n.items {
-			if item.kind != yScalar {
-				d.fail(item.line, "expected a scalar list item")
-				continue
+		s := reflect.MakeSlice(v.Type(), len(items), len(items))
+		for i, item := range items {
+			if err := decodeYAML(name, key, item, s.Index(i)); err != nil {
+				return err
 			}
-			out = append(out, item)
 		}
-		return out
-	default:
-		d.fail(n.line, "expected a sequence")
+		v.Set(s)
+		return nil
+	case reflect.Map:
+		if v.Type().Key().Kind() != reflect.Uint32 {
+			break // only upstreams maps, keyed by origin ASN
+		}
+		if n.kind != yMap {
+			return fail(n.line, "%s must map origin ASN to a list of neighbor ASNs", key)
+		}
+		m := reflect.MakeMapWithSize(v.Type(), len(n.keys))
+		for _, k := range n.keys {
+			origin, err := strconv.ParseUint(k, 10, 32)
+			if err != nil {
+				return fail(n.vals[k].line, "bad origin ASN %q", k)
+			}
+			elem := reflect.New(v.Type().Elem()).Elem()
+			if err := decodeYAML(name, k, n.vals[k], elem); err != nil {
+				return err
+			}
+			m.SetMapIndex(reflect.ValueOf(origin).Convert(v.Type().Key()), elem)
+		}
+		v.Set(m)
+		return nil
+	case reflect.String, reflect.Uint32, reflect.Int, reflect.Int64, reflect.Float64, reflect.Bool:
+		if n.kind != yScalar {
+			return fail(n.line, "%s must be a scalar, not a %s", key, n.kind)
+		}
+		s := n.scalar
+		switch {
+		case v.Type() == reflect.TypeFor[Duration]():
+			d, err := time.ParseDuration(s)
+			if err != nil {
+				return fail(n.line, "%s must be a duration like \"15s\"", key)
+			}
+			v.SetInt(int64(d))
+		case v.Kind() == reflect.String:
+			v.SetString(s)
+		case v.Kind() == reflect.Uint32:
+			asn, err := strconv.ParseUint(s, 10, 32)
+			if err != nil {
+				return fail(n.line, "bad ASN %q", s)
+			}
+			v.SetUint(asn)
+		case v.Kind() == reflect.Float64:
+			x, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				return fail(n.line, "%s must be a number", key)
+			}
+			v.SetFloat(x)
+		case v.Kind() == reflect.Bool:
+			if s != "true" && s != "false" {
+				return fail(n.line, "%s must be true or false", key)
+			}
+			v.SetBool(s == "true")
+		default: // int, int64
+			x, err := strconv.ParseInt(s, 10, v.Type().Bits())
+			if err != nil {
+				return fail(n.line, "%s must be an integer", key)
+			}
+			v.SetInt(x)
+		}
 		return nil
 	}
+	return fail(n.line, "%s: cannot decode into %s", key, v.Type())
 }
 
-func (d *configDecoder) asASN(n *yamlNode) uint32 {
-	v, err := strconv.ParseUint(n.scalar, 10, 32)
-	if err != nil {
-		d.fail(n.line, "bad ASN %q", n.scalar)
-		return 0
+// yamlField returns the index of t's field whose YAML key is key, or -1.
+func yamlField(t reflect.Type, key string) int {
+	for i := range t.NumField() {
+		jsonName, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		if jsonName != "" && jsonName != "-" && yamlKey(jsonName) == key {
+			return i
+		}
 	}
-	return uint32(v)
-}
-
-func (d *configDecoder) optScalar(n *yamlNode, key string) string {
-	c := n.child(key)
-	if c == nil {
-		return ""
-	}
-	if c.kind != yScalar {
-		d.fail(c.line, "%s must be a scalar", key)
-		return ""
-	}
-	return c.scalar
-}
-
-func (d *configDecoder) optInt(n *yamlNode, key string) int {
-	c := n.child(key)
-	if c == nil {
-		return 0
-	}
-	v, err := strconv.Atoi(c.scalar)
-	if err != nil || c.kind != yScalar {
-		d.fail(c.line, "%s must be an integer", key)
-		return 0
-	}
-	return v
-}
-
-func (d *configDecoder) optFloat(n *yamlNode, key string) float64 {
-	c := n.child(key)
-	if c == nil {
-		return 0
-	}
-	v, err := strconv.ParseFloat(c.scalar, 64)
-	if err != nil || c.kind != yScalar {
-		d.fail(c.line, "%s must be a number", key)
-		return 0
-	}
-	return v
-}
-
-func (d *configDecoder) optBool(n *yamlNode, key string) bool {
-	c := n.child(key)
-	if c == nil {
-		return false
-	}
-	switch c.scalar {
-	case "true":
-		return true
-	case "false":
-		return false
-	}
-	d.fail(c.line, "%s must be true or false", key)
-	return false
-}
-
-func (d *configDecoder) optDuration(n *yamlNode, key string) Duration {
-	c := n.child(key)
-	if c == nil {
-		return 0
-	}
-	v, err := time.ParseDuration(c.scalar)
-	if err != nil || c.kind != yScalar {
-		d.fail(c.line, "%s must be a duration like \"15s\"", key)
-		return 0
-	}
-	return Duration(v)
+	return -1
 }

@@ -1,6 +1,8 @@
 package artemis
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +188,14 @@ func TestParseConfigErrorPositions(t *testing.T) {
 			wantPos: "t.yaml:7:",
 			wantMsg: "duplicate source name",
 		},
+		{
+			// Validate's error for a tenant's prefix keeps its path
+			// through the tenant wrapper, down to the list item.
+			name:    "bad tenant prefix",
+			yaml:    "tenants:\n  - name: acme\n    origins: [1]\n    prefixes:\n      - 192.0.2.0/24\n      - 192.0.2.0/33\n",
+			wantPos: "t.yaml:6:",
+			wantMsg: `bad prefix "192.0.2.0/33"`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,4 +299,73 @@ asnames:
 			t.Errorf("yaml %q: err = %v, want %q", c.yaml, err, c.msg)
 		}
 	}
+}
+
+// TestREADMESchema: the yaml block after "The full schema:" in README.md
+// decodes, and it sets every leaf field of Config, so the documented
+// schema and the code cannot drift apart. Validate is not run: the
+// block sets both rpki.path and rpki.url to document both.
+func TestREADMESchema(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(readme), "The full schema:")
+	if ok {
+		_, block, ok = strings.Cut(block, "```yaml\n")
+	}
+	if ok {
+		block, _, ok = strings.Cut(block, "```")
+	}
+	if !ok {
+		t.Fatal("README.md has no yaml block after \"The full schema:\"")
+	}
+	root, err := parseYamlite([]byte(block), "README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg Config
+	if err := decodeYAML("README.md", "config", root, reflect.ValueOf(&cfg).Elem()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The keys the block sets, per struct type they decode into.
+	set := map[reflect.Type]map[string]bool{}
+	var keys func(n *yamlNode, typ reflect.Type)
+	keys = func(n *yamlNode, typ reflect.Type) {
+		switch {
+		case typ.Kind() == reflect.Slice && n.kind == yList:
+			for _, item := range n.items {
+				keys(item, typ.Elem())
+			}
+		case typ.Kind() == reflect.Struct && n.kind == yMap:
+			if set[typ] == nil {
+				set[typ] = map[string]bool{}
+			}
+			for _, k := range n.keys {
+				set[typ][k] = true
+				keys(n.vals[k], typ.Field(yamlField(typ, k)).Type)
+			}
+		}
+	}
+	keys(root, reflect.TypeFor[Config]())
+
+	var leaves func(typ reflect.Type, path string)
+	leaves = func(typ reflect.Type, path string) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			jsonName, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			key := yamlKey(jsonName)
+			elem := f.Type
+			if elem.Kind() == reflect.Slice {
+				elem = elem.Elem()
+			}
+			if elem.Kind() == reflect.Struct {
+				leaves(elem, path+key+".")
+			} else if !set[typ][key] {
+				t.Errorf("README schema never sets %s%s", path, key)
+			}
+		}
+	}
+	leaves(reflect.TypeFor[Config](), "")
 }

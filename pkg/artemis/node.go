@@ -1004,10 +1004,12 @@ func (n *Node) replaceSourcesLocked(specs []SourceSpec) error {
 	return nil
 }
 
+// sourceSpecEqual compares whole specs (LGs by value, so nil and empty
+// agree), so a field added to SourceSpec is compared without an edit here.
 func sourceSpecEqual(a, b SourceSpec) bool {
-	return a.Type == b.Type && a.Name == b.Name && a.URL == b.URL &&
-		a.Addr == b.Addr && a.Path == b.Path && a.Interval == b.Interval &&
-		slices.Equal(a.LGs, b.LGs)
+	lgs := slices.Equal(a.LGs, b.LGs)
+	a.LGs, b.LGs = nil, nil
+	return lgs && reflect.DeepEqual(a, b)
 }
 
 // --- persistence ---
