@@ -124,36 +124,70 @@ func (a *ASPathAttr) appendValue(dst []byte, opt Options) ([]byte, error) {
 	return dst, nil
 }
 
+// nextSegment splits the first segment off an encoded AS path of the
+// given ASN width: its type, its ASNs still encoded, and the rest. It holds
+// every AS_PATH check, so parseASPath and appendASPath accept the same
+// paths.
+func nextSegment(b []byte, width int) (typ uint8, asns, rest []byte, err error) {
+	if len(b) < 2 {
+		return 0, nil, nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedASPath, nil, "bgp: truncated AS_PATH segment header")
+	}
+	typ, n := b[0], int(b[1])
+	if typ != SegSet && typ != SegSequence {
+		return 0, nil, nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedASPath, nil, fmt.Sprintf("bgp: AS_PATH segment type %d", typ))
+	}
+	if len(b) < 2+n*width {
+		return 0, nil, nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedASPath, nil, "bgp: truncated AS_PATH segment")
+	}
+	return typ, b[2 : 2+n*width], b[2+n*width:], nil
+}
+
+func asnWidth(as4 bool) int {
+	if as4 {
+		return 4
+	}
+	return 2
+}
+
+// appendASNs decodes a run of encoded ASNs onto dst.
+func appendASNs(dst []ASN, b []byte, width int) []ASN {
+	for off := 0; off < len(b); off += width {
+		if width == 4 {
+			dst = append(dst, ASN(binary.BigEndian.Uint32(b[off:])))
+		} else {
+			dst = append(dst, ASN(binary.BigEndian.Uint16(b[off:])))
+		}
+	}
+	return dst
+}
+
 func parseASPath(b []byte, as4 bool) (*ASPathAttr, error) {
 	a := &ASPathAttr{}
-	width := 2
-	if as4 {
-		width = 4
-	}
+	width := asnWidth(as4)
 	for len(b) > 0 {
-		if len(b) < 2 {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedASPath, nil, "bgp: truncated AS_PATH segment header")
+		typ, asns, rest, err := nextSegment(b, width)
+		if err != nil {
+			return nil, err
 		}
-		typ, n := b[0], int(b[1])
-		if typ != SegSet && typ != SegSequence {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedASPath, nil, fmt.Sprintf("bgp: AS_PATH segment type %d", typ))
-		}
-		if len(b) < 2+n*width {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedASPath, nil, "bgp: truncated AS_PATH segment")
-		}
-		seg := ASPathSegment{Type: typ, ASNs: make([]ASN, n)}
-		for i := 0; i < n; i++ {
-			off := 2 + i*width
-			if as4 {
-				seg.ASNs[i] = ASN(binary.BigEndian.Uint32(b[off : off+4]))
-			} else {
-				seg.ASNs[i] = ASN(binary.BigEndian.Uint16(b[off : off+2]))
-			}
-		}
-		a.Segments = append(a.Segments, seg)
-		b = b[2+n*width:]
+		a.Segments = append(a.Segments, ASPathSegment{Type: typ, ASNs: appendASNs(make([]ASN, 0, len(asns)/width), asns, width)})
+		b = rest
 	}
 	return a, nil
+}
+
+// appendASPath appends the flattened AS path encoded in b to dst, the
+// form ASPathAttr.Flatten returns.
+func appendASPath(dst []ASN, b []byte, as4 bool) ([]ASN, error) {
+	width := asnWidth(as4)
+	for len(b) > 0 {
+		_, asns, rest, err := nextSegment(b, width)
+		if err != nil {
+			return dst, err
+		}
+		dst = appendASNs(dst, asns, width)
+		b = rest
+	}
+	return dst, nil
 }
 
 // NextHopAttr is NEXT_HOP (type 3). It is IPv4-only by definition
@@ -366,33 +400,50 @@ func appendAttr(dst []byte, a PathAttr, opt Options) ([]byte, error) {
 	return append(dst, val...), nil
 }
 
+// attrWalker splits a path-attribute block into its attributes, one per
+// next call, with the framing checks and the duplicate-code check. It is
+// the one place an attribute block is split: parseAttrs decodes every
+// attribute it yields, AppendASPath only AS_PATH.
+type attrWalker struct {
+	b    []byte
+	seen [256]bool
+}
+
+func (w *attrWalker) next() (fl uint8, code AttrCode, val []byte, err error) {
+	b := w.b
+	if len(b) < 3 {
+		return 0, 0, nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedAttributeList, nil, "bgp: truncated attribute header")
+	}
+	fl, code = b[0], AttrCode(b[1])
+	var vlen, hlen int
+	if fl&flagExtLen != 0 {
+		if len(b) < 4 {
+			return 0, 0, nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedAttributeList, nil, "bgp: truncated extended length")
+		}
+		vlen, hlen = int(binary.BigEndian.Uint16(b[2:4])), 4
+	} else {
+		vlen, hlen = int(b[2]), 3
+	}
+	if len(b) < hlen+vlen {
+		return 0, 0, nil, NewMessageError(ErrUpdateMessage, ErrSubAttributeLengthError, nil, "bgp: truncated attribute value")
+	}
+	val = b[hlen : hlen+vlen]
+	w.b = b[hlen+vlen:]
+	if w.seen[code] {
+		return 0, 0, nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedAttributeList, nil, fmt.Sprintf("bgp: duplicate attribute %d", code))
+	}
+	w.seen[code] = true
+	return fl, code, val, nil
+}
+
 func parseAttrs(b []byte, opt Options) ([]PathAttr, error) {
 	var out []PathAttr
-	seen := map[AttrCode]bool{}
-	for len(b) > 0 {
-		if len(b) < 3 {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedAttributeList, nil, "bgp: truncated attribute header")
+	w := attrWalker{b: b}
+	for len(w.b) > 0 {
+		fl, code, val, err := w.next()
+		if err != nil {
+			return nil, err
 		}
-		fl, code := b[0], AttrCode(b[1])
-		var vlen, hlen int
-		if fl&flagExtLen != 0 {
-			if len(b) < 4 {
-				return nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedAttributeList, nil, "bgp: truncated extended length")
-			}
-			vlen, hlen = int(binary.BigEndian.Uint16(b[2:4])), 4
-		} else {
-			vlen, hlen = int(b[2]), 3
-		}
-		if len(b) < hlen+vlen {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubAttributeLengthError, nil, "bgp: truncated attribute value")
-		}
-		val := b[hlen : hlen+vlen]
-		b = b[hlen+vlen:]
-		if seen[code] {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubMalformedAttributeList, nil, fmt.Sprintf("bgp: duplicate attribute %d", code))
-		}
-		seen[code] = true
-
 		a, err := parseAttrValue(fl, code, val, opt)
 		if err != nil {
 			return nil, err
@@ -402,6 +453,62 @@ func parseAttrs(b []byte, opt Options) ([]PathAttr, error) {
 	return out, nil
 }
 
+// ParseAttrs decodes a bare path-attribute block, the form a
+// TABLE_DUMP_V2 RIB route carries (RFC 6396 §4.3.4), exactly as the
+// attributes of an UPDATE with no classic NLRI decode: MP_REACH_NLRI and
+// MP_UNREACH_NLRI fold away (a non-:: v6 next hop is kept), and
+// MP_REACH_NLRI prefixes require ORIGIN and AS_PATH.
+func ParseAttrs(b []byte, opt Options) ([]PathAttr, error) {
+	attrs, err := parseAttrs(b, opt)
+	if err != nil {
+		return nil, err
+	}
+	attrs, nlri, _ := foldMP(attrs)
+	if len(nlri) > 0 {
+		if err := checkMandatoryAttrs(attrs, false); err != nil {
+			return nil, err
+		}
+	}
+	return attrs, nil
+}
+
+// AppendASPath appends the flattened AS_PATH of a bare path-attribute
+// block to dst and reports whether the block has an AS_PATH. It accepts
+// exactly the blocks ParseAttrs accepts, but decodes only AS_PATH, and
+// that straight into dst: the other attributes are checked, not built.
+func AppendASPath(b []byte, opt Options, dst []ASN) ([]ASN, bool, error) {
+	w := attrWalker{b: b}
+	mpNLRI := false
+	for len(w.b) > 0 {
+		fl, code, val, err := w.next()
+		if err != nil {
+			return dst, false, err
+		}
+		switch code {
+		case AttrASPath:
+			dst, err = appendASPath(dst, val, opt.AS4)
+		case AttrAS4Path, AttrMPReachNLRI, AttrMPUnreachNLRI:
+			// Rare in a RIB: checked by building them.
+			var a PathAttr
+			a, err = parseAttrValue(fl, code, val, opt)
+			if mp, ok := a.(*MPReachNLRIAttr); ok {
+				mpNLRI = len(mp.NLRI) > 0
+			}
+		default:
+			err = checkAttrValue(fl, code, val, opt)
+		}
+		if err != nil {
+			return dst, false, err
+		}
+	}
+	if mpNLRI {
+		if err := missingMandatory(&w.seen, false); err != nil {
+			return dst, false, err
+		}
+	}
+	return dst, w.seen[AttrASPath], nil
+}
+
 func fixedLen(code AttrCode, val []byte, want int) error {
 	if len(val) != want {
 		return NewMessageError(ErrUpdateMessage, ErrSubAttributeLengthError, nil, fmt.Sprintf("bgp: attribute %d length %d, want %d", code, len(val), want))
@@ -409,15 +516,50 @@ func fixedLen(code AttrCode, val []byte, want int) error {
 	return nil
 }
 
-func parseAttrValue(fl uint8, code AttrCode, val []byte, opt Options) (PathAttr, error) {
+// checkAttrValue holds the value checks of every attribute whose value
+// needs no decoding to check; parseAttrValue builds on it. AS_PATH,
+// AS4_PATH and the MP attributes are checked by decoding them and pass
+// here.
+func checkAttrValue(fl uint8, code AttrCode, val []byte, opt Options) error {
 	switch code {
+	case AttrASPath, AttrAS4Path, AttrMPReachNLRI, AttrMPUnreachNLRI:
+		return nil
 	case AttrOrigin:
 		if err := fixedLen(code, val, 1); err != nil {
-			return nil, err
+			return err
 		}
 		if val[0] > OriginIncomplete {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubInvalidOriginAttribute, val, fmt.Sprintf("bgp: origin %d", val[0]))
+			return NewMessageError(ErrUpdateMessage, ErrSubInvalidOriginAttribute, []byte{val[0]}, fmt.Sprintf("bgp: origin %d", val[0]))
 		}
+		return nil
+	case AttrNextHop, AttrMED, AttrLocalPref:
+		return fixedLen(code, val, 4)
+	case AttrAtomicAggregate:
+		return fixedLen(code, val, 0)
+	case AttrAggregator:
+		want := 6
+		if opt.AS4 {
+			want = 8
+		}
+		return fixedLen(code, val, want)
+	case AttrCommunities:
+		if len(val)%4 != 0 {
+			return NewMessageError(ErrUpdateMessage, ErrSubAttributeLengthError, nil, "bgp: COMMUNITIES length not a multiple of 4")
+		}
+		return nil
+	}
+	if fl&flagOptional == 0 {
+		return NewMessageError(ErrUpdateMessage, ErrSubUnrecognizedWellKnownAttr, []byte{byte(code)}, fmt.Sprintf("bgp: unrecognized well-known attribute %d", code))
+	}
+	return nil
+}
+
+func parseAttrValue(fl uint8, code AttrCode, val []byte, opt Options) (PathAttr, error) {
+	if err := checkAttrValue(fl, code, val, opt); err != nil {
+		return nil, err
+	}
+	switch code {
+	case AttrOrigin:
 		return &OriginAttr{Value: val[0]}, nil
 	case AttrASPath:
 		return parseASPath(val, opt.AS4)
@@ -429,54 +571,29 @@ func parseAttrValue(fl uint8, code AttrCode, val []byte, opt Options) (PathAttr,
 		}
 		return &RawAttr{AttrFlags: fl, AttrCode: code, Value: mustValue(ap, Options{AS4: true})}, nil
 	case AttrNextHop:
-		if err := fixedLen(code, val, 4); err != nil {
-			return nil, err
-		}
 		return &NextHopAttr{Addr: prefix.AddrFrom4(binary.BigEndian.Uint32(val))}, nil
 	case AttrMPReachNLRI:
 		return parseMPReach(fl, val)
 	case AttrMPUnreachNLRI:
 		return parseMPUnreach(fl, val)
 	case AttrMED:
-		if err := fixedLen(code, val, 4); err != nil {
-			return nil, err
-		}
 		return &MEDAttr{Value: binary.BigEndian.Uint32(val)}, nil
 	case AttrLocalPref:
-		if err := fixedLen(code, val, 4); err != nil {
-			return nil, err
-		}
 		return &LocalPrefAttr{Value: binary.BigEndian.Uint32(val)}, nil
 	case AttrAtomicAggregate:
-		if err := fixedLen(code, val, 0); err != nil {
-			return nil, err
-		}
 		return &AtomicAggregateAttr{}, nil
 	case AttrAggregator:
-		want := 6
-		if opt.AS4 {
-			want = 8
-		}
-		if err := fixedLen(code, val, want); err != nil {
-			return nil, err
-		}
 		if opt.AS4 {
 			return &AggregatorAttr{ASN: ASN(binary.BigEndian.Uint32(val[:4])), Addr: prefix.AddrFrom4(binary.BigEndian.Uint32(val[4:]))}, nil
 		}
 		return &AggregatorAttr{ASN: ASN(binary.BigEndian.Uint16(val[:2])), Addr: prefix.AddrFrom4(binary.BigEndian.Uint32(val[2:]))}, nil
 	case AttrCommunities:
-		if len(val)%4 != 0 {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubAttributeLengthError, nil, "bgp: COMMUNITIES length not a multiple of 4")
-		}
 		c := &CommunitiesAttr{Communities: make([]Community, len(val)/4)}
 		for i := range c.Communities {
 			c.Communities[i] = Community(binary.BigEndian.Uint32(val[4*i:]))
 		}
 		return c, nil
 	default:
-		if fl&flagOptional == 0 {
-			return nil, NewMessageError(ErrUpdateMessage, ErrSubUnrecognizedWellKnownAttr, []byte{byte(code)}, fmt.Sprintf("bgp: unrecognized well-known attribute %d", code))
-		}
 		return &RawAttr{AttrFlags: fl, AttrCode: code, Value: append([]byte(nil), val...)}, nil
 	}
 }

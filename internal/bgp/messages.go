@@ -277,50 +277,65 @@ func parseUpdate(b []byte, opt Options) (*Update, error) {
 	classicNLRI := len(u.NLRI) > 0
 	// Fold MP attributes into the dual-stack prefix lists; the duplicate-
 	// attribute check in parseAttrs guarantees at most one of each.
-	kept := u.Attrs[:0]
-	var mpNLRI bool
-	for _, a := range u.Attrs {
-		switch mp := a.(type) {
-		case *MPReachNLRIAttr:
-			u.NLRI = append(u.NLRI, mp.NLRI...)
-			mpNLRI = len(mp.NLRI) > 0
-			// A real (non-::) next hop is routing information third-party
-			// data carries; retain it so parse -> marshal round-trips it.
-			if mp.NextHop != prefix.AddrFrom16(0, 0) {
-				kept = append(kept, &MPReachNLRIAttr{NextHop: mp.NextHop})
-			}
-		case *MPUnreachNLRIAttr:
-			u.Withdrawn = append(u.Withdrawn, mp.Withdrawn...)
-		default:
-			kept = append(kept, a)
-		}
-	}
-	u.Attrs = kept
-	if len(u.Attrs) == 0 {
-		u.Attrs = nil
-	}
-	if classicNLRI || mpNLRI {
-		if err := u.checkMandatoryAttrs(classicNLRI); err != nil {
+	var nlri6, wd6 []prefix.Prefix
+	u.Attrs, nlri6, wd6 = foldMP(u.Attrs)
+	u.NLRI = append(u.NLRI, nlri6...)
+	u.Withdrawn = append(u.Withdrawn, wd6...)
+	if classicNLRI || len(nlri6) > 0 {
+		if err := checkMandatoryAttrs(u.Attrs, classicNLRI); err != nil {
 			return nil, err
 		}
 	}
 	return u, nil
 }
 
+// foldMP takes the MP_REACH_NLRI and MP_UNREACH_NLRI attributes out of
+// attrs (in place) and returns their v6 prefixes. A real (non-::) next
+// hop is routing information third-party data carries, so it stays as an
+// NLRI-less MPReachNLRIAttr and parse -> marshal round-trips it. An
+// attribute list left empty comes back nil.
+func foldMP(attrs []PathAttr) (kept []PathAttr, nlri, withdrawn []prefix.Prefix) {
+	kept = attrs[:0]
+	for _, a := range attrs {
+		switch mp := a.(type) {
+		case *MPReachNLRIAttr:
+			nlri = mp.NLRI
+			if mp.NextHop != prefix.AddrFrom16(0, 0) {
+				kept = append(kept, &MPReachNLRIAttr{NextHop: mp.NextHop})
+			}
+		case *MPUnreachNLRIAttr:
+			withdrawn = mp.Withdrawn
+		default:
+			kept = append(kept, a)
+		}
+	}
+	if len(kept) == 0 {
+		kept = nil
+	}
+	return kept, nlri, withdrawn
+}
+
 // checkMandatoryAttrs enforces RFC 4271 §6.3: an UPDATE that advertises
 // NLRI must carry ORIGIN and AS_PATH, plus NEXT_HOP when classic (v4)
 // NLRI is present — MP-only updates carry their next hop inside
 // MP_REACH_NLRI (RFC 4760 §7).
-func (u *Update) checkMandatoryAttrs(needNextHop bool) error {
-	need := map[AttrCode]bool{AttrOrigin: true, AttrASPath: true}
-	if needNextHop {
-		need[AttrNextHop] = true
+func checkMandatoryAttrs(attrs []PathAttr, needNextHop bool) error {
+	var seen [256]bool
+	for _, a := range attrs {
+		seen[a.Code()] = true
 	}
-	for _, a := range u.Attrs {
-		delete(need, a.Code())
-	}
-	for code := range need {
-		return NewMessageError(ErrUpdateMessage, ErrSubMissingWellKnownAttr, []byte{byte(code)}, fmt.Sprintf("bgp: missing mandatory attribute %d", code))
+	return missingMandatory(&seen, needNextHop)
+}
+
+// missingMandatory reports the first mandatory attribute absent from seen.
+func missingMandatory(seen *[256]bool, needNextHop bool) error {
+	for _, code := range [...]AttrCode{AttrOrigin, AttrASPath, AttrNextHop} {
+		if code == AttrNextHop && !needNextHop {
+			break
+		}
+		if !seen[code] {
+			return NewMessageError(ErrUpdateMessage, ErrSubMissingWellKnownAttr, []byte{byte(code)}, fmt.Sprintf("bgp: missing mandatory attribute %d", code))
+		}
 	}
 	return nil
 }

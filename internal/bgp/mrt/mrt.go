@@ -288,50 +288,103 @@ func (r *RIBEntry) appendBody(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func parseRIBEntry(ts time.Time, b []byte, is6 bool) (*RIBEntry, error) {
+// maxRIBAttrLen bounds one RIB route's attribute block: the attributes
+// of one BGP UPDATE, which a 4096-byte message (RFC 4271 §4.1) carries
+// after its header and two length fields.
+const maxRIBAttrLen = bgp.MaxMessageLen - bgp.HeaderLen - 4
+
+// RIBRoute is one peer's route in a RIB entry with its path attributes
+// still encoded. Attrs aliases the Reader's record buffer: it is valid
+// until the Reader's next Next or Scan.
+type RIBRoute struct {
+	PeerIndex  uint16
+	Originated uint32 // Unix seconds
+	Attrs      []byte
+}
+
+// RIBScan walks the routes of one TABLE_DUMP_V2 RIB entry in place, with
+// every check the entry's decode applies: it is the one RIB body decoder,
+// under both Reader.Next and Reader.Scan.
+type RIBScan struct {
+	Sequence uint32
+	Prefix   prefix.Prefix
+	left     int
+	rest     []byte
+}
+
+// reset starts a walk over the RIB entry body b, checking its header.
+func (s *RIBScan) reset(b []byte, is6 bool) error {
 	if len(b) < 5 {
-		return nil, fmt.Errorf("mrt: short RIB entry")
+		return fmt.Errorf("mrt: short RIB entry")
 	}
-	r := &RIBEntry{Timestamp: ts, Sequence: binary.BigEndian.Uint32(b[:4])}
+	s.Sequence = binary.BigEndian.Uint32(b[:4])
 	bits := int(b[4])
 	max := 32
 	if is6 {
 		max = 128
 	}
 	if bits > max {
-		return nil, fmt.Errorf("mrt: RIB prefix length %d", bits)
+		return fmt.Errorf("mrt: RIB prefix length %d", bits)
 	}
 	n := (bits + 7) / 8
 	if len(b) < 5+n+2 {
-		return nil, fmt.Errorf("mrt: truncated RIB prefix")
+		return fmt.Errorf("mrt: truncated RIB prefix")
 	}
 	p, err := prefix.FromBytes(b[5:5+n], bits, is6)
 	if err != nil {
-		return nil, fmt.Errorf("mrt: RIB prefix: %w", err)
+		return fmt.Errorf("mrt: RIB prefix: %w", err)
 	}
-	r.Prefix = p
-	b = b[5+n:]
-	count := int(binary.BigEndian.Uint16(b[:2]))
-	b = b[2:]
-	for i := 0; i < count; i++ {
-		if len(b) < 8 {
-			return nil, fmt.Errorf("mrt: truncated RIB route")
-		}
-		rt := RIBPeerRoute{
-			PeerIndex:  binary.BigEndian.Uint16(b[:2]),
-			Originated: time.Unix(int64(binary.BigEndian.Uint32(b[2:6])), 0).UTC(),
-		}
-		alen := int(binary.BigEndian.Uint16(b[6:8]))
-		if len(b) < 8+alen {
-			return nil, fmt.Errorf("mrt: truncated RIB attributes")
-		}
-		attrs, err := parseAttrsViaUpdate(b[8 : 8+alen])
+	s.Prefix = p
+	s.left = int(binary.BigEndian.Uint16(b[5+n:]))
+	s.rest = b[5+n+2:]
+	return nil
+}
+
+// More reports whether the entry has a route not yet walked.
+func (s *RIBScan) More() bool { return s.left > 0 }
+
+// Next returns the entry's next route.
+func (s *RIBScan) Next() (RIBRoute, error) {
+	b := s.rest
+	if len(b) < 8 {
+		return RIBRoute{}, fmt.Errorf("mrt: truncated RIB route")
+	}
+	alen := int(binary.BigEndian.Uint16(b[6:8]))
+	if len(b) < 8+alen {
+		return RIBRoute{}, fmt.Errorf("mrt: truncated RIB attributes")
+	}
+	if alen > maxRIBAttrLen {
+		return RIBRoute{}, fmt.Errorf("mrt: RIB attributes: %d bytes exceed one BGP message", alen)
+	}
+	s.left--
+	s.rest = b[8+alen:]
+	return RIBRoute{
+		PeerIndex:  binary.BigEndian.Uint16(b[:2]),
+		Originated: binary.BigEndian.Uint32(b[2:6]),
+		Attrs:      b[8 : 8+alen],
+	}, nil
+}
+
+func parseRIBEntry(ts time.Time, b []byte, is6 bool) (*RIBEntry, error) {
+	var s RIBScan
+	if err := s.reset(b, is6); err != nil {
+		return nil, err
+	}
+	r := &RIBEntry{Timestamp: ts, Sequence: s.Sequence, Prefix: s.Prefix}
+	for s.More() {
+		rt, err := s.Next()
 		if err != nil {
 			return nil, err
 		}
-		rt.Attrs = attrs
-		r.Routes = append(r.Routes, rt)
-		b = b[8+alen:]
+		attrs, err := bgp.ParseAttrs(rt.Attrs, bgp.DefaultOptions)
+		if err != nil {
+			return nil, fmt.Errorf("mrt: RIB attributes: %w", err)
+		}
+		r.Routes = append(r.Routes, RIBPeerRoute{
+			PeerIndex:  rt.PeerIndex,
+			Originated: time.Unix(int64(rt.Originated), 0).UTC(),
+			Attrs:      attrs,
+		})
 	}
 	return r, nil
 }
@@ -348,25 +401,6 @@ func marshalAttrs(attrs []bgp.PathAttr) ([]byte, error) {
 	// body = 2-byte withdrawn len (0) + 2-byte attr len + attrs
 	attrLen := int(binary.BigEndian.Uint16(body[2:4]))
 	return body[4 : 4+attrLen], nil
-}
-
-func parseAttrsViaUpdate(attrBytes []byte) ([]bgp.PathAttr, error) {
-	body := make([]byte, 0, 4+len(attrBytes))
-	body = binary.BigEndian.AppendUint16(body, 0)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(attrBytes)))
-	body = append(body, attrBytes...)
-	full := make([]byte, bgp.HeaderLen, bgp.HeaderLen+len(body))
-	for i := 0; i < 16; i++ {
-		full[i] = 0xff
-	}
-	full = append(full, body...)
-	binary.BigEndian.PutUint16(full[16:18], uint16(len(full)))
-	full[18] = byte(bgp.MsgUpdate)
-	m, err := bgp.ParseMessage(full, bgp.DefaultOptions)
-	if err != nil {
-		return nil, fmt.Errorf("mrt: RIB attributes: %w", err)
-	}
-	return m.(*bgp.Update).Attrs, nil
 }
 
 // Marshal encodes a full MRT record (common header + body).
@@ -400,8 +434,14 @@ func (w *Writer) Write(r Record) error {
 	return err
 }
 
-// Reader reads MRT records from an underlying stream.
-type Reader struct{ r io.Reader }
+// Reader reads MRT records from an underlying stream into one record
+// buffer it reuses; decoded records never alias it.
+type Reader struct {
+	r    io.Reader
+	hdr  [12]byte
+	buf  []byte
+	scan RIBScan
+}
 
 // NewReader returns a Reader consuming from r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
@@ -410,35 +450,82 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // this, and the cap keeps a corrupt length field from allocating gigabytes.
 const maxRecordLen = 1 << 20
 
+// record reads the next record's header and body. The body aliases r.buf
+// until the next call.
+func (r *Reader) record() (ts time.Time, typ, sub uint16, body []byte, err error) {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("mrt: truncated header: %w", err)
+		}
+		return time.Time{}, 0, 0, nil, err
+	}
+	ts = time.Unix(int64(binary.BigEndian.Uint32(r.hdr[:4])), 0).UTC()
+	typ = binary.BigEndian.Uint16(r.hdr[4:6])
+	sub = binary.BigEndian.Uint16(r.hdr[6:8])
+	length := binary.BigEndian.Uint32(r.hdr[8:12])
+	if length > maxRecordLen {
+		return time.Time{}, 0, 0, nil, fmt.Errorf("mrt: record length %d exceeds cap", length)
+	}
+	if cap(r.buf) < int(length) {
+		r.buf = make([]byte, length)
+	}
+	body = r.buf[:length]
+	if _, err := io.ReadFull(r.r, body); err != nil {
+		return time.Time{}, 0, 0, nil, fmt.Errorf("mrt: truncated body: %w", err)
+	}
+	return ts, typ, sub, body, nil
+}
+
+// ribFamily reports whether typ/sub is a TABLE_DUMP_V2 RIB entry, and of
+// which family.
+func ribFamily(typ, sub uint16) (is6, ok bool) {
+	switch {
+	case typ == TypeTableDumpV2 && sub == SubtypeRIBIPv4Unicast:
+		return false, true
+	case typ == TypeTableDumpV2 && sub == SubtypeRIBIPv6Unicast:
+		return true, true
+	}
+	return false, false
+}
+
 // Next reads the next record. It returns io.EOF at a clean end of stream.
 func (r *Reader) Next() (Record, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("mrt: truncated header: %w", err)
-		}
+	ts, typ, sub, body, err := r.record()
+	if err != nil {
 		return nil, err
 	}
-	ts := time.Unix(int64(binary.BigEndian.Uint32(hdr[:4])), 0).UTC()
-	typ := binary.BigEndian.Uint16(hdr[4:6])
-	sub := binary.BigEndian.Uint16(hdr[6:8])
-	length := binary.BigEndian.Uint32(hdr[8:12])
-	if length > maxRecordLen {
-		return nil, fmt.Errorf("mrt: record length %d exceeds cap", length)
+	if is6, ok := ribFamily(typ, sub); ok {
+		return parseRIBEntry(ts, body, is6)
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r.r, body); err != nil {
-		return nil, fmt.Errorf("mrt: truncated body: %w", err)
+	return decodeRecord(ts, typ, sub, body)
+}
+
+// Scan reads the next record like Next, except that a TABLE_DUMP_V2 RIB
+// entry is not decoded: Scan returns a nil Record and a RIBScan over the
+// entry's routes in the Reader's buffer, valid until the next call. Other
+// records come back decoded, with a nil RIBScan. It returns io.EOF at a
+// clean end of stream.
+func (r *Reader) Scan() (Record, *RIBScan, error) {
+	ts, typ, sub, body, err := r.record()
+	if err != nil {
+		return nil, nil, err
 	}
+	if is6, ok := ribFamily(typ, sub); ok {
+		if err := r.scan.reset(body, is6); err != nil {
+			return nil, nil, err
+		}
+		return nil, &r.scan, nil
+	}
+	rec, err := decodeRecord(ts, typ, sub, body)
+	return rec, nil, err
+}
+
+func decodeRecord(ts time.Time, typ, sub uint16, body []byte) (Record, error) {
 	switch {
 	case typ == TypeBGP4MP && sub == SubtypeBGP4MPMessageAS4:
 		return parseBGP4MP(ts, body)
 	case typ == TypeTableDumpV2 && sub == SubtypePeerIndexTable:
 		return parsePeerIndexTable(ts, body)
-	case typ == TypeTableDumpV2 && sub == SubtypeRIBIPv4Unicast:
-		return parseRIBEntry(ts, body, false)
-	case typ == TypeTableDumpV2 && sub == SubtypeRIBIPv6Unicast:
-		return parseRIBEntry(ts, body, true)
 	}
 	return nil, fmt.Errorf("mrt: unsupported record type %d subtype %d", typ, sub)
 }

@@ -46,6 +46,33 @@ func BenchmarkRIBLoad(b *testing.B) {
 	}
 }
 
+// TestLoadAllocsPerRoute holds the bootstrap to its allocation budget on
+// a snapshot of the glass-mixed benchmark workload's shape (100k v4 + 20k
+// v6 prefixes, seed 1). Decoding allocates nothing per route, and routes
+// and paths come from shared chunks; what is left is route.Table's
+// prefix state, candidate set and trie node, about 3.4 per route.
+func TestLoadAllocsPerRoute(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSynth(&buf, SynthConfig{V4: 100_000, V6: 20_000, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := Load(bytes.NewReader(buf.Bytes()), New())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRoute := float64(after.Mallocs-before.Mallocs) / float64(st.Routes)
+	t.Logf("loaded %s: %.2f allocs/route, %.0f B/route", st, perRoute, float64(after.TotalAlloc-before.TotalAlloc)/float64(st.Routes))
+	if st.Routes != 120_000 {
+		t.Fatalf("routes = %d", st.Routes)
+	}
+	if perRoute > 8 {
+		t.Fatalf("%.2f allocs/route, budget 8", perRoute)
+	}
+}
+
 // TestFullRIBLoadMeasured is the full-scale measurement behind
 // docs/PERFORMANCE.md: ~1M v4 + ~220k v6 routes through the streaming
 // bootstrap, reporting load time and resident heap. It allocates gigabyte-

@@ -9,6 +9,9 @@ import (
 
 	"artemis/internal/bgp"
 	"artemis/internal/bgp/mrt"
+	"artemis/internal/prefix"
+	"artemis/internal/route"
+	"artemis/internal/topo"
 )
 
 // LoadStats describes one bootstrap load.
@@ -36,53 +39,124 @@ func (s LoadStats) String() string {
 // PEER_INDEX_TABLE must precede its RIB entries (as RFC 6396 requires);
 // each route's vantage point is resolved through it, never inferred from
 // the AS path. BGP4MP records interleaved in the stream are ignored.
+//
+// RIB entries are walked in the reader's buffer and only their AS paths
+// decoded, into one scratch slice; each route is then built once, its
+// path copied once, into table-owned chunks. An entry whose routes do not
+// all decode changes nothing, as if it had been decoded whole.
 func Load(r io.Reader, t *Table) (LoadStats, error) {
 	start := time.Now()
 	mr := mrt.NewReader(r)
-	var peers mrt.PeerResolver
-	var st LoadStats
+	l := loader{t: t}
 	for {
-		rec, err := mr.Next()
+		rec, ent, err := mr.Scan()
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			return st, err
-		}
-		peers.Observe(rec)
-		re, ok := rec.(*mrt.RIBEntry)
-		if !ok {
-			continue
-		}
-		st.Entries++
-		for i := range re.Routes {
-			rt := &re.Routes[i]
-			peer, err := peers.Peer(rt.PeerIndex)
-			if err != nil {
-				return st, fmt.Errorf("rib: entry %s: %w", re.Prefix, err)
-			}
-			u := bgp.Update{Attrs: rt.Attrs}
-			path, ok := u.ASPath()
-			if !ok || len(path) == 0 {
-				st.Skipped++
+		if err == nil {
+			if ent == nil {
+				l.peers.Observe(rec)
 				continue
 			}
-			// The parsed path is freshly allocated per record: hand it over
-			// without cloning. Bootstrap inserts are not table movement.
-			t.mu.Lock()
-			t.insertLocked(re.Prefix, path, peer.AS, false, false)
-			t.mu.Unlock()
-			st.Routes++
-			if re.Prefix.Is6() {
-				st.V6Routes++
-			} else {
-				st.V4Routes++
-			}
+			err = l.entry(ent)
+		}
+		if err != nil {
+			return l.st, err
 		}
 	}
-	st.Peers = peers.Peers()
-	st.Elapsed = time.Since(start)
-	return st, nil
+	l.st.Peers = l.peers.Peers()
+	l.st.Elapsed = time.Since(start)
+	return l.st, nil
+}
+
+// loader is one Load's state. paths holds the current entry's AS paths
+// back to back; routes index into it.
+type loader struct {
+	t      *Table
+	peers  mrt.PeerResolver
+	st     LoadStats
+	paths  []bgp.ASN
+	routes []entryRoute
+	store  routeStore
+}
+
+// entryRoute is one decoded route of a RIB entry: its peer index and
+// where its AS path sits in loader.paths.
+type entryRoute struct {
+	peer     uint16
+	from, to int
+}
+
+// entry decodes every route of one RIB entry, then installs them under
+// one write lock. Bootstrap inserts are not table movement.
+func (l *loader) entry(ent *mrt.RIBScan) error {
+	l.paths, l.routes = l.paths[:0], l.routes[:0]
+	for ent.More() {
+		rt, err := ent.Next()
+		if err != nil {
+			return err
+		}
+		from := len(l.paths)
+		if l.paths, _, err = bgp.AppendASPath(rt.Attrs, bgp.DefaultOptions, l.paths); err != nil {
+			return fmt.Errorf("mrt: RIB attributes: %w", err)
+		}
+		l.routes = append(l.routes, entryRoute{peer: rt.PeerIndex, from: from, to: len(l.paths)})
+	}
+	l.st.Entries++
+	p := ent.Prefix
+	l.t.mu.Lock()
+	defer l.t.mu.Unlock()
+	for _, rt := range l.routes {
+		peer, err := l.peers.Peer(rt.peer)
+		if err != nil {
+			return fmt.Errorf("rib: entry %s: %w", p, err)
+		}
+		if rt.from == rt.to {
+			l.st.Skipped++
+			continue
+		}
+		if path := l.paths[rt.from:rt.to]; ribRoute(path, peer.AS) {
+			l.t.insertLocked(l.store.route(p, path, peer.AS), false)
+		}
+		l.st.Routes++
+		if p.Is6() {
+			l.st.V6Routes++
+		} else {
+			l.st.V4Routes++
+		}
+	}
+	return nil
+}
+
+// routeStore hands out the table-owned routes and paths of one load,
+// carved from shared chunks: a bootstrap allocates per chunk, not per
+// route. A chunk lives until every route carved from it has been replaced
+// or withdrawn, so bootstrap storage is released a chunk at a time and
+// never grows after the load.
+type routeStore struct {
+	paths  []bgp.ASN
+	routes []route.Route
+}
+
+const (
+	pathChunk  = 8192 // ASNs
+	routeChunk = 1024
+)
+
+// route returns a table-owned copy of the route (p, path, from).
+func (s *routeStore) route(p prefix.Prefix, path []bgp.ASN, from bgp.ASN) *route.Route {
+	if cap(s.paths)-len(s.paths) < len(path) {
+		s.paths = make([]bgp.ASN, 0, max(pathChunk, len(path)))
+	}
+	n := len(s.paths)
+	s.paths = append(s.paths, path...)
+	if len(s.routes) == 0 {
+		s.routes = make([]route.Route, routeChunk)
+	}
+	r := &s.routes[0]
+	s.routes = s.routes[1:]
+	*r = route.Route{Prefix: p, Path: s.paths[n:len(s.paths):len(s.paths)], From: from, Rel: topo.Peer}
+	return r
 }
 
 // LoadFile streams the MRT snapshot at path into t.

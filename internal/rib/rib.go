@@ -33,7 +33,7 @@ type Table struct {
 	mu sync.RWMutex
 	rt *route.Table
 	// origins counts, per origin AS, how many best routes it originates.
-	origins map[bgp.ASN]*originCount
+	origins map[bgp.ASN]originCount
 	// masks is the per-mask histogram of resident best prefixes:
 	// masks[0][0..32] for v4, masks[1][0..128] for v6.
 	masks [2][129]int64
@@ -43,13 +43,14 @@ type Table struct {
 	withdraws [2]int64
 }
 
-type originCount struct{ v4, v6 int64 }
+// originCount is one origin's best-route count per family (v4, v6).
+type originCount [2]int64
 
 // New returns an empty table.
 func New() *Table {
 	return &Table{
 		rt:      route.NewTable(0),
-		origins: make(map[bgp.ASN]*originCount),
+		origins: make(map[bgp.ASN]originCount),
 	}
 }
 
@@ -60,23 +61,20 @@ func famIdx(p prefix.Prefix) int {
 	return 0
 }
 
-// insertLocked installs one candidate route, updating the indices. The
-// path is retained, so callers handing over pooled storage must set clone;
-// live marks feed-driven movement (bootstrap loading passes false). Caller
-// holds the write lock.
-func (t *Table) insertLocked(p prefix.Prefix, path []bgp.ASN, from bgp.ASN, clone, live bool) {
-	if len(path) == 0 || from == 0 {
-		return // a RIB route always has an origin and a vantage point
-	}
-	if clone {
-		path = slices.Clone(path)
-	}
+// insertLocked installs one candidate route, retaining it, and updates
+// the indices; live marks feed-driven movement (bootstrap loading passes
+// false). Caller holds the write lock.
+func (t *Table) insertLocked(r *route.Route, live bool) {
 	if live {
-		t.announces[famIdx(p)]++
+		t.announces[famIdx(r.Prefix)]++
 	}
-	old, best, changed := t.rt.Update(&route.Route{Prefix: p, Path: path, From: from, Rel: topo.Peer})
-	t.noteBestChange(p, old, best, changed)
+	old, best, changed := t.rt.Update(r)
+	t.noteBestChange(r.Prefix, old, best, changed)
 }
+
+// ribRoute reports whether a route can enter the table: a RIB route
+// always has an origin and a vantage point.
+func ribRoute(path []bgp.ASN, from bgp.ASN) bool { return len(path) > 0 && from != 0 }
 
 // removeLocked withdraws the candidate learned from the given vantage
 // point. Caller holds the write lock.
@@ -114,17 +112,11 @@ func (t *Table) bumpOrigin(asn bgp.ASN, fam int, delta int64) {
 		return
 	}
 	oc := t.origins[asn]
-	if oc == nil {
-		oc = &originCount{}
-		t.origins[asn] = oc
-	}
-	if fam == 0 {
-		oc.v4 += delta
-	} else {
-		oc.v6 += delta
-	}
-	if oc.v4 == 0 && oc.v6 == 0 {
+	oc[fam] += delta
+	if oc == (originCount{}) {
 		delete(t.origins, asn)
+	} else {
+		t.origins[asn] = oc
 	}
 }
 
@@ -138,7 +130,9 @@ func (t *Table) Apply(evs []feedtypes.Event) {
 		ev := &evs[i]
 		switch ev.Kind {
 		case feedtypes.Announce:
-			t.insertLocked(ev.Prefix, ev.Path, ev.VantagePoint, true, true)
+			if ribRoute(ev.Path, ev.VantagePoint) {
+				t.insertLocked(&route.Route{Prefix: ev.Prefix, Path: slices.Clone(ev.Path), From: ev.VantagePoint, Rel: topo.Peer}, true)
+			}
 		case feedtypes.Withdraw:
 			t.removeLocked(ev.Prefix, ev.VantagePoint, true)
 		}
@@ -198,10 +192,8 @@ func (t *Table) Lookup(p prefix.Prefix) (LookupResult, bool) {
 func (t *Table) OriginCounts(asn bgp.ASN) (v4, v6 int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if oc := t.origins[asn]; oc != nil {
-		return oc.v4, oc.v6
-	}
-	return 0, 0
+	oc := t.origins[asn]
+	return oc[0], oc[1]
 }
 
 // Len returns the number of resident prefixes with at least one candidate.

@@ -633,13 +633,38 @@ func decodeYAML(name, key string, n *yamlNode, v reflect.Value) error {
 	return fail(n.line, "%s: cannot decode into %s", key, v.Type())
 }
 
+// yamlFields maps each struct type Config decodes into to the field
+// index of each of its YAML keys, built once from the JSON tags.
+var yamlFields = yamlFieldTables(reflect.TypeFor[Config]())
+
+func yamlFieldTables(root reflect.Type) map[reflect.Type]map[string]int {
+	tables := map[reflect.Type]map[string]int{}
+	var walk func(t reflect.Type)
+	walk = func(t reflect.Type) {
+		for t.Kind() == reflect.Slice || t.Kind() == reflect.Map {
+			t = t.Elem()
+		}
+		if t.Kind() != reflect.Struct || tables[t] != nil {
+			return
+		}
+		keys := make(map[string]int, t.NumField())
+		tables[t] = keys
+		for i := range t.NumField() {
+			jsonName, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+			if jsonName != "" && jsonName != "-" {
+				keys[yamlKey(jsonName)] = i
+			}
+			walk(t.Field(i).Type)
+		}
+	}
+	walk(root)
+	return tables
+}
+
 // yamlField returns the index of t's field whose YAML key is key, or -1.
 func yamlField(t reflect.Type, key string) int {
-	for i := range t.NumField() {
-		jsonName, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-		if jsonName != "" && jsonName != "-" && yamlKey(jsonName) == key {
-			return i
-		}
+	if i, ok := yamlFields[t][key]; ok {
+		return i
 	}
 	return -1
 }

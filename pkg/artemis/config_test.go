@@ -1,6 +1,7 @@
 package artemis
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -368,4 +369,25 @@ func TestREADMESchema(t *testing.T) {
 		}
 	}
 	leaves(reflect.TypeFor[Config](), "")
+}
+
+// BenchmarkParseConfig parses a 100-tenant artemis.yaml, the glass-mixed
+// benchmark workload's tenant count.
+func BenchmarkParseConfig(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString("tenants:\n")
+	for i := range 100 {
+		fmt.Fprintf(&sb, "  - name: t%d\n    token: tok%d\n    origins: [%d]\n    upstreams:\n      %d: [%d, %d]\n    prefixes:\n      - 10.%d.0.0/16\n      - 2001:db8:%x::/48\n",
+			i, i, 64500+i, 64500+i, 100+i, 200+i, i, i)
+	}
+	data := []byte(sb.String())
+	if _, err := ParseConfig(data, "bench.yaml"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ParseConfig(data, "bench.yaml"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
