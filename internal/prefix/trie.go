@@ -41,6 +41,15 @@ func (t *Trie[V]) Len() int { return t.size }
 // Insert stores val under p, replacing any existing value.
 // It reports whether the prefix was newly added.
 func (t *Trie[V]) Insert(p Prefix, val V) bool {
+	v, added := t.Ref(p)
+	*v = val
+	return added
+}
+
+// Ref returns a pointer to the value stored at p, first storing a zero
+// value when p is absent (added reports that), so find-or-create is one
+// descent. The pointer is valid until p is deleted.
+func (t *Trie[V]) Ref(p Prefix) (v *V, added bool) {
 	n := t.root(p.Is6())
 	for i := 0; i < p.Bits(); i++ {
 		b := p.bit(i)
@@ -49,44 +58,57 @@ func (t *Trie[V]) Insert(p Prefix, val V) bool {
 		}
 		n = n.child[b]
 	}
-	added := !n.set
-	n.val, n.set = val, true
-	if added {
+	if !n.set {
+		n.set = true
 		t.size++
+		added = true
 	}
-	return added
+	return &n.val, added
 }
 
 // Get returns the value stored exactly at p.
-func (t *Trie[V]) Get(p Prefix) (V, bool) {
+func (t *Trie[V]) Get(p Prefix) (val V, ok bool) {
+	if v := t.Ptr(p); v != nil {
+		return *v, true
+	}
+	return val, false
+}
+
+// Ptr returns a pointer to the value stored exactly at p, or nil when p is
+// absent. The pointer is valid until p is deleted.
+func (t *Trie[V]) Ptr(p Prefix) *V {
+	if n := t.find(p); n != nil && n.set {
+		return &n.val
+	}
+	return nil
+}
+
+// find returns the node at p, stored or not; nil when p's path is absent.
+func (t *Trie[V]) find(p Prefix) *node[V] {
 	n := t.root(p.Is6())
-	for i := 0; i < p.Bits(); i++ {
+	for i := 0; i < p.Bits() && n != nil; i++ {
 		n = n.child[p.bit(i)]
-		if n == nil {
-			var zero V
-			return zero, false
-		}
 	}
-	if !n.set {
-		var zero V
-		return zero, false
-	}
-	return n.val, true
+	return n
 }
 
 // Delete removes p. It reports whether the prefix was present.
-// Empty interior nodes are pruned so long-lived tries do not leak.
+// Empty interior nodes are pruned so long-lived tries do not leak: the
+// descent remembers the last node that must stay (the root, a stored
+// prefix, or a fork), and the chain below it is cut off in one store.
 func (t *Trie[V]) Delete(p Prefix) bool {
-	// Record the path so we can prune bottom-up.
-	path := make([]*node[V], 0, p.Bits()+1)
 	n := t.root(p.Is6())
-	path = append(path, n)
+	var keep *node[V]
+	keepBit := 0
 	for i := 0; i < p.Bits(); i++ {
-		n = n.child[p.bit(i)]
+		b := p.bit(i)
+		if keep == nil || n.set || n.child[b^1] != nil {
+			keep, keepBit = n, b
+		}
+		n = n.child[b]
 		if n == nil {
 			return false
 		}
-		path = append(path, n)
 	}
 	if !n.set {
 		return false
@@ -94,12 +116,8 @@ func (t *Trie[V]) Delete(p Prefix) bool {
 	var zero V
 	n.val, n.set = zero, false
 	t.size--
-	for i := len(path) - 1; i > 0; i-- {
-		cur := path[i]
-		if cur.set || cur.child[0] != nil || cur.child[1] != nil {
-			break
-		}
-		path[i-1].child[p.bit(i-1)] = nil
+	if keep != nil && n.child[0] == nil && n.child[1] == nil {
+		keep.child[keepBit] = nil
 	}
 	return true
 }
@@ -199,14 +217,7 @@ func (t *Trie[V]) Supernets(q Prefix, fn func(Prefix, V) bool) {
 // CoveredBy calls fn for every stored prefix contained in p (including p
 // itself when stored), in trie order. Returning false stops the walk.
 func (t *Trie[V]) CoveredBy(p Prefix, fn func(Prefix, V) bool) {
-	n := t.root(p.Is6())
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[p.bit(i)]
-		if n == nil {
-			return
-		}
-	}
-	walk(n, p, fn)
+	walk(t.find(p), p, fn)
 }
 
 // Walk calls fn for every stored prefix: all v4 prefixes in trie order

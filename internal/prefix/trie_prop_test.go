@@ -65,11 +65,12 @@ func randAddr(rng *rand.Rand) Addr {
 	return AddrFrom16(uint64(0x20010db800000000)|uint64(rng.Intn(1<<12))<<20, uint64(rng.Uint32())<<32)
 }
 
-// TestTrieMatchesOracleDualStack drives randomized insert/delete/lookup
+// TestTrieMatchesOracleDualStack drives randomized insert/ref/delete/lookup
 // interleavings over mixed v4+v6 prefix sets and checks every operation's
 // result — and, periodically, full LPM agreement — against the linear-scan
-// oracle. This is the property wall around the dual-stack generalization:
-// any divergence between the 128-bit radix walk and first-principles
+// oracle; deleting everything at the end must prune both trees bare. This
+// is the property wall around the dual-stack generalization: any
+// divergence between the 128-bit radix walk and first-principles
 // containment fails here.
 func TestTrieMatchesOracleDualStack(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -77,7 +78,7 @@ func TestTrieMatchesOracleDualStack(t *testing.T) {
 		tr := NewTrie[int]()
 		ref := newOracle()
 		for op := 0; op < 4000; op++ {
-			switch rng.Intn(10) {
+			switch rng.Intn(12) {
 			case 0, 1, 2, 3: // insert
 				p := randPrefix(rng)
 				if got, want := tr.Insert(p, op), ref.insert(p, op); got != want {
@@ -111,6 +112,22 @@ func TestTrieMatchesOracleDualStack(t *testing.T) {
 				if gotOK != wantOK || (gotOK && gotV != wantV) {
 					t.Fatalf("seed %d op %d: Get(%s) = %d,%v; oracle %d,%v", seed, op, p, gotV, gotOK, wantV, wantOK)
 				}
+			case 10: // find-or-create, then write through the pointer
+				p := randPrefix(rng)
+				v, added := tr.Ref(p)
+				wantV, had := ref.set[p]
+				if added == had || *v != wantV {
+					t.Fatalf("seed %d op %d: Ref(%s) = %d,added=%v; oracle %d,present=%v", seed, op, p, *v, added, wantV, had)
+				}
+				*v = op
+				ref.set[p] = op
+			case 11: // exact pointer lookup
+				p := randPrefix(rng)
+				v := tr.Ptr(p)
+				wantV, had := ref.set[p]
+				if (v != nil) != had || (had && *v != wantV) {
+					t.Fatalf("seed %d op %d: Ptr(%s) = %v; oracle %d,%v", seed, op, p, v, wantV, had)
+				}
 			}
 			if tr.Len() != len(ref.set) {
 				t.Fatalf("seed %d op %d: Len = %d, oracle %d", seed, op, tr.Len(), len(ref.set))
@@ -129,6 +146,14 @@ func TestTrieMatchesOracleDualStack(t *testing.T) {
 			if walked[p] != v {
 				t.Fatalf("seed %d: Walk missed %s=%d", seed, p, v)
 			}
+		}
+		for p := range ref.set {
+			if !tr.Delete(p) {
+				t.Fatalf("seed %d: Delete(%s) missed a stored prefix", seed, p)
+			}
+		}
+		if tr.Len() != 0 || tr.root4.child != [2]*node[int]{} || tr.root6.child != [2]*node[int]{} {
+			t.Fatalf("seed %d: trie not pruned bare after deleting everything (Len %d)", seed, tr.Len())
 		}
 	}
 }
@@ -165,5 +190,33 @@ func TestTrieCoveredByMatchesOracleDualStack(t *testing.T) {
 				t.Fatalf("CoveredBy(%s) missed %s", q, p)
 			}
 		}
+	}
+}
+
+// TestTrieDeleteAllocs: Delete prunes without a path buffer, so a route
+// table that deletes a node on every last-candidate withdraw allocates
+// nothing for it. Every measured call deletes a stored /24 and /48 whose
+// chains are not shared below the /16 and /32, so each one prunes.
+func TestTrieDeleteAllocs(t *testing.T) {
+	const runs = 100
+	tr := NewTrie[int]()
+	v4 := func(i int) Prefix { return New(AddrFrom4(0xc0000000|uint32(i)<<8), 24) }
+	v6 := func(i int) Prefix { return New(AddrFrom16(0x20010db800000000|uint64(i)<<16, 0), 48) }
+	for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up call
+		tr.Insert(v4(i), i)
+		tr.Insert(v6(i), i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !tr.Delete(v4(i)) || !tr.Delete(v6(i)) || tr.Ptr(v4(i)) != nil {
+			t.Fatalf("Delete of stored prefix %d failed", i)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Delete allocates %.1f times per call, want 0", allocs)
+	}
+	if tr.Len() != 0 || tr.root4.child != [2]*node[int]{} || tr.root6.child != [2]*node[int]{} {
+		t.Fatalf("trie not pruned bare (Len %d)", tr.Len())
 	}
 }

@@ -73,14 +73,7 @@ func (r *Route) Equal(o *Route) bool {
 
 // HasLoop reports whether asn already appears in the AS path — the RFC 4271
 // loop-prevention check applied on receipt.
-func (r *Route) HasLoop(asn bgp.ASN) bool {
-	for _, a := range r.Path {
-		if a == asn {
-			return true
-		}
-	}
-	return false
-}
+func (r *Route) HasLoop(asn bgp.ASN) bool { return slices.Contains(r.Path, asn) }
 
 func (r *Route) String() string {
 	if r == nil {

@@ -7,20 +7,23 @@ import (
 	"artemis/internal/prefix"
 )
 
-// Table is the routing table of one AS: per-prefix candidate sets plus the
-// selected best route, indexed in a radix trie for longest-prefix match.
+// Table is the routing table of one AS: per-prefix candidate sets and the
+// selected best route, held in one radix trie that answers both exact and
+// longest-prefix-match queries. A prefix is in the trie exactly while it
+// has a candidate, so every stored state has a best route.
 type Table struct {
-	self     bgp.ASN
-	prefixes map[prefix.Prefix]*prefixState
-	best     *prefix.Trie[*Route]
-	routes   int
+	self   bgp.ASN
+	states *prefix.Trie[*prefixState]
+	routes int
 }
 
 // prefixState holds one prefix's candidates, at most one per neighbor.
 // Each From sits beside its route, so finding a neighbor's candidate reads
-// one slice and dereferences nothing.
+// one slice and dereferences nothing. cands starts out on one, so a prefix
+// heard from a single neighbor allocates nothing beyond the state itself.
 type prefixState struct {
 	cands []candidate
+	one   [1]candidate
 	best  *Route
 }
 
@@ -51,11 +54,7 @@ func (st *prefixState) rescan() *Route {
 
 // NewTable returns an empty table for the AS with the given number.
 func NewTable(self bgp.ASN) *Table {
-	return &Table{
-		self:     self,
-		prefixes: make(map[prefix.Prefix]*prefixState),
-		best:     prefix.NewTrie[*Route](),
-	}
+	return &Table{self: self, states: prefix.NewTrie[*prefixState]()}
 }
 
 // Self returns the owning ASN.
@@ -72,10 +71,12 @@ func (t *Table) Self() bgp.ASN { return t.self }
 // its From on top, and only a replacement of the best by a worse route
 // rescans; anything else leaves the best unchanged.
 func (t *Table) Update(r *Route) (old, best *Route, changed bool) {
-	st := t.prefixes[r.Prefix]
-	if st == nil {
+	ref, added := t.states.Ref(r.Prefix)
+	st := *ref
+	if added {
 		st = &prefixState{}
-		t.prefixes[r.Prefix] = st
+		st.cands = st.one[:0]
+		*ref = st
 	}
 	old = st.best
 	i := st.find(r.From)
@@ -95,13 +96,13 @@ func (t *Table) Update(r *Route) (old, best *Route, changed bool) {
 	default:
 		best = st.rescan()
 	}
-	return t.settle(r.Prefix, st, old, best)
+	return settle(st, old, best)
 }
 
 // Withdraw removes the candidate learned from the given neighbor (0 for a
 // locally originated route) and re-runs selection.
 func (t *Table) Withdraw(p prefix.Prefix, from bgp.ASN) (old, best *Route, changed bool) {
-	st := t.prefixes[p]
+	st, _ := t.states.Get(p)
 	if st == nil {
 		return nil, nil, false
 	}
@@ -115,11 +116,10 @@ func (t *Table) Withdraw(p prefix.Prefix, from bgp.ASN) (old, best *Route, chang
 	if old.From == from {
 		best = st.rescan()
 	}
-	old, best, changed = t.settle(p, st, old, best)
 	if len(st.cands) == 0 {
-		delete(t.prefixes, p)
+		t.states.Delete(p)
 	}
-	return old, best, changed
+	return settle(st, old, best)
 }
 
 // Originate installs a locally originated route for p.
@@ -142,31 +142,21 @@ func (t *Table) WithdrawLocal(p prefix.Prefix) (old, best *Route, changed bool) 
 	return t.Withdraw(p, 0)
 }
 
-// settle records best as p's selected route and keeps the trie in step.
-func (t *Table) settle(p prefix.Prefix, st *prefixState, old, best *Route) (*Route, *Route, bool) {
+// settle records best as the prefix's selected route and reports whether
+// the selection changed.
+func settle(st *prefixState, old, best *Route) (*Route, *Route, bool) {
 	st.best = best
-	if best == old {
-		return old, best, false
-	}
 	// A content-identical re-announcement arrives as a fresh allocation, so
-	// the pointer compare above misses it; without this check every duplicate
-	// UPDATE (common in real feeds, guaranteed under RIB reload) would
-	// reinsert into the trie and re-propagate downstream.
-	if best.Equal(old) {
-		return old, best, false
-	}
-	if best == nil {
-		t.best.Delete(p)
-	} else {
-		t.best.Insert(p, best)
-	}
-	return old, best, true
+	// a pointer compare alone misses it; without Equal every duplicate
+	// UPDATE (common in real feeds, guaranteed under RIB reload) would count
+	// as a change and re-propagate downstream.
+	return old, best, best != old && !best.Equal(old)
 }
 
 // Best returns the selected route for exactly p.
 func (t *Table) Best(p prefix.Prefix) (*Route, bool) {
-	st := t.prefixes[p]
-	if st == nil || st.best == nil {
+	st, _ := t.states.Get(p)
+	if st == nil {
 		return nil, false
 	}
 	return st.best, true
@@ -175,7 +165,7 @@ func (t *Table) Best(p prefix.Prefix) (*Route, bool) {
 // Candidates returns all candidate routes for p (selection input), in no
 // particular order.
 func (t *Table) Candidates(p prefix.Prefix) []*Route {
-	st := t.prefixes[p]
+	st, _ := t.states.Get(p)
 	if st == nil {
 		return nil
 	}
@@ -189,7 +179,7 @@ func (t *Table) Candidates(p prefix.Prefix) []*Route {
 // NumCandidates returns the number of candidate routes for exactly p
 // without allocating (Candidates copies; counters only need the size).
 func (t *Table) NumCandidates(p prefix.Prefix) int {
-	st := t.prefixes[p]
+	st, _ := t.states.Get(p)
 	if st == nil {
 		return 0
 	}
@@ -204,11 +194,11 @@ func (t *Table) Routes() int { return t.routes }
 // traffic for this address actually go" — the data-plane question behind
 // hijack impact and mitigation success.
 func (t *Table) Resolve(addr prefix.Addr) (*Route, bool) {
-	_, r, ok := t.best.LongestMatch(addr)
-	if !ok || r == nil {
+	_, st, ok := t.states.LongestMatch(addr)
+	if !ok {
 		return nil, false
 	}
-	return r, true
+	return st.best, true
 }
 
 // ResolveOrigin returns the origin AS currently receiving traffic for addr
@@ -225,24 +215,24 @@ func (t *Table) ResolveOrigin(addr prefix.Addr) (bgp.ASN, bool) {
 // prefix that contains p (or is p itself) — what "show ip bgp <prefix>"
 // answers on a router when the exact prefix is absent.
 func (t *Table) ResolveBestFor(p prefix.Prefix) (*Route, bool) {
-	_, r, ok := t.best.LongestMatchPrefix(p)
-	if !ok || r == nil {
+	_, st, ok := t.states.LongestMatchPrefix(p)
+	if !ok {
 		return nil, false
 	}
-	return r, true
+	return st.best, true
 }
 
 // WalkCovered visits the selected best routes of all prefixes contained in
 // p (p itself included when present) — the "longer-prefixes" form of a
 // looking-glass query, which is how a monitor notices sub-prefix hijacks.
 func (t *Table) WalkCovered(p prefix.Prefix, fn func(*Route) bool) {
-	t.best.CoveredBy(p, func(_ prefix.Prefix, r *Route) bool { return fn(r) })
+	t.states.CoveredBy(p, func(_ prefix.Prefix, st *prefixState) bool { return fn(st.best) })
 }
 
 // WalkBest visits every selected best route in trie order.
 func (t *Table) WalkBest(fn func(*Route) bool) {
-	t.best.Walk(func(_ prefix.Prefix, r *Route) bool { return fn(r) })
+	t.states.Walk(func(_ prefix.Prefix, st *prefixState) bool { return fn(st.best) })
 }
 
 // Len returns the number of prefixes with at least one candidate.
-func (t *Table) Len() int { return len(t.prefixes) }
+func (t *Table) Len() int { return t.states.Len() }
