@@ -67,21 +67,14 @@ type Alert struct {
 	DetectedAt time.Duration
 }
 
-// Key identifies the incident as a string, for consumers that key
-// external state by incident (mitigation retries, REST clients). The hot
-// path's dedup uses the comparable incidentKey instead — building this
-// string per event was once the single largest allocation source in the
-// whole pipeline.
-func (a Alert) Key() string {
-	return fmt.Sprintf("%d|%s|%d", a.Type, a.Prefix, uint32(a.Origin))
-}
-
-// incidentKey is Alert.Key as a comparable struct: same identity
-// (type, prefix, origin), zero allocations to construct or look up.
+// incidentKey identifies an incident — (type, prefix, origin) — as a
+// comparable struct: zero allocations to construct or look up. The
+// detector's dedup set, the mitigator's ledger and the service's retry
+// counts are all keyed by it.
 type incidentKey struct {
-	typ    AlertType
 	prefix prefix.Prefix
 	origin bgp.ASN
+	typ    AlertType
 }
 
 func (a *Alert) incident() incidentKey {
@@ -319,6 +312,19 @@ func (d *Detector) Alerts() []Alert {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]Alert(nil), d.alerts...)
+}
+
+// EachAlert calls fn with each alert raised so far, oldest first. The
+// alert log is append-only and its entries are never rewritten, so fn
+// runs on a snapshot of it without holding the detector's lock: a slow
+// fn (an HTTP response) never stalls alert commit.
+func (d *Detector) EachAlert(fn func(Alert)) {
+	d.mu.Lock()
+	alerts := d.alerts[:len(d.alerts):len(d.alerts)]
+	d.mu.Unlock()
+	for i := range alerts {
+		fn(alerts[i])
+	}
 }
 
 // AlertCount reports the number of alerts raised so far without copying

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,24 +56,29 @@ type Mitigator struct {
 	mu       sync.Mutex
 	records  []MitigationRecord
 	onRecord []func(MitigationRecord)
-	done     map[string]bool
-	// requested tracks, per incident, the prefixes the controller has
-	// accepted and that are not known to have failed downstream. A retry
-	// after a partial failure announces only what is missing instead of
-	// duplicating announcements already in flight.
-	requested map[string]map[prefix.Prefix]bool
+	ledger   map[incidentKey]*incidentState
 
 	failures stats.Counter
+}
+
+// incidentState is the mitigator's memory of one incident.
+type incidentState struct {
+	// claimed is set while the incident's mitigation runs or has
+	// succeeded; a failure releases it so the incident may be retried.
+	claimed bool
+	// requested are the prefixes the controller has accepted and that
+	// are not known to have failed downstream. A retry after a partial
+	// failure announces only what is missing instead of duplicating
+	// announcements already in flight. An attempt asks for at most two.
+	requested []prefix.Prefix
+	// last indexes the incident's latest record.
+	last int
 }
 
 // NewMitigator builds the mitigation service. now supplies timestamps
 // (engine clock in simulation).
 func NewMitigator(cfg *Config, ctrl RouteAnnouncer, now func() time.Duration) *Mitigator {
-	m := &Mitigator{
-		ctrl: ctrl, now: now,
-		done:      make(map[string]bool),
-		requested: make(map[string]map[prefix.Prefix]bool),
-	}
+	m := &Mitigator{ctrl: ctrl, now: now, ledger: make(map[incidentKey]*incidentState)}
 	m.cfg.Store(cfg)
 	return m
 }
@@ -143,13 +149,17 @@ func (m *Mitigator) MitigationPrefixes(a Alert) (prefixes []prefix.Prefix, compe
 // flight) and the incident is released for retry instead of being
 // silently marked done.
 func (m *Mitigator) HandleAlert(a Alert) {
-	key := a.Key()
 	m.mu.Lock()
-	if m.done[key] {
+	inc := m.ledger[a.incident()]
+	if inc == nil {
+		inc = &incidentState{}
+		m.ledger[a.incident()] = inc
+	}
+	if inc.claimed {
 		m.mu.Unlock()
 		return
 	}
-	m.done[key] = true // claim the incident so concurrent retries don't race
+	inc.claimed = true // claim the incident so concurrent retries don't race
 	m.mu.Unlock()
 
 	prefixes, competitive := m.MitigationPrefixes(a)
@@ -169,34 +179,34 @@ func (m *Mitigator) HandleAlert(a Alert) {
 	m.records = append(m.records, MitigationRecord{
 		Alert:       a,
 		Prefixes:    prefixes,
+		Announced:   make([]prefix.Prefix, 0, len(prefixes)),
 		TriggeredAt: m.now(),
 		Competitive: competitive,
 	})
 	idx := len(m.records) - 1
+	inc.last = idx
+	inc.requested = slices.Grow(inc.requested, len(prefixes))
 	m.mu.Unlock()
 
 	for _, p := range prefixes {
 		m.mu.Lock()
-		if m.requested[key] == nil {
-			m.requested[key] = make(map[prefix.Prefix]bool)
-		}
-		if m.requested[key][p] {
+		if slices.Contains(inc.requested, p) {
 			// A previous (partially failed) attempt already got this one
 			// accepted: a retry fills the gaps, it does not duplicate
 			// announcements already in flight.
 			m.mu.Unlock()
 			continue
 		}
-		m.requested[key][p] = true // claim before Announce: failure feedback matches on it
+		inc.requested = append(inc.requested, p) // claim before Announce: failure feedback matches on it
 		m.mu.Unlock()
 		if err := m.ctrl.Announce(p); err != nil {
 			m.mu.Lock()
-			delete(m.requested[key], p) // never accepted
+			inc.forget(p) // never accepted
 			if m.records[idx].Err == nil {
 				m.records[idx].Err = err
 			}
 			m.failures.Inc()
-			delete(m.done, key) // release: the incident may be retried
+			inc.claimed = false // release: the incident may be retried
 			m.mu.Unlock()
 			m.notifyRecord(idx)
 			return
@@ -206,6 +216,17 @@ func (m *Mitigator) HandleAlert(a Alert) {
 		m.mu.Unlock()
 	}
 	m.notifyRecord(idx)
+}
+
+// forget drops p from the requested prefixes, reporting whether it was
+// there.
+func (inc *incidentState) forget(p prefix.Prefix) bool {
+	i := slices.Index(inc.requested, p)
+	if i < 0 {
+		return false
+	}
+	inc.requested = slices.Delete(inc.requested, i, i+1)
+	return true
 }
 
 // NoteAnnounceFailure reports that an announcement the controller had
@@ -221,23 +242,18 @@ func (m *Mitigator) NoteAnnounceFailure(p prefix.Prefix, err error) []Alert {
 	m.mu.Lock()
 	var released []Alert
 	var failedIdx []int
-	for key, req := range m.requested {
-		if !req[p] {
+	for _, inc := range m.ledger {
+		if !inc.forget(p) {
 			continue
 		}
-		delete(req, p)
-		delete(m.done, key)
+		inc.claimed = false
 		m.failures.Inc()
-		for i := len(m.records) - 1; i >= 0; i-- {
-			if m.records[i].Alert.Key() == key {
-				if m.records[i].Err == nil {
-					m.records[i].Err = err
-				}
-				released = append(released, m.records[i].Alert)
-				failedIdx = append(failedIdx, i)
-				break
-			}
+		rec := &m.records[inc.last]
+		if rec.Err == nil {
+			rec.Err = err
 		}
+		released = append(released, rec.Alert)
+		failedIdx = append(failedIdx, inc.last)
 	}
 	m.mu.Unlock()
 	for _, idx := range failedIdx {
@@ -252,6 +268,21 @@ func (m *Mitigator) Records() []MitigationRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]MitigationRecord(nil), m.records...)
+}
+
+// EachRecord calls fn with each mitigation attempt recorded so far,
+// oldest first. Records are updated in place as announcements succeed or
+// fail, so each is copied under the lock and fn runs without it.
+func (m *Mitigator) EachRecord(fn func(MitigationRecord)) {
+	m.mu.Lock()
+	n := len(m.records)
+	m.mu.Unlock()
+	for i := 0; i < n; i++ {
+		m.mu.Lock()
+		rec := m.records[i]
+		m.mu.Unlock()
+		fn(rec)
+	}
 }
 
 // Failures reports how many mitigation attempts aborted on a controller

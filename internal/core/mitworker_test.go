@@ -16,11 +16,11 @@ import (
 func TestAsyncMitigationDoesNotStallSink(t *testing.T) {
 	gate := make(chan struct{}) // handler blocks until the test opens it
 	var mu sync.Mutex
-	var handled []string
+	var handled []incidentKey
 	q := NewMitigationQueue(func(a Alert) {
 		<-gate
 		mu.Lock()
-		handled = append(handled, a.Key())
+		handled = append(handled, a.incident())
 		mu.Unlock()
 	}, MitigationQueueConfig{Depth: 64}, nil)
 
@@ -59,10 +59,10 @@ func TestAsyncMitigationDoesNotStallSink(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	// Ordered queue: alerts handled in commit order.
-	want := []string{
-		Alert{Type: AlertExactOrigin, Prefix: prefix.MustParse("10.0.0.0/23"), Origin: 666}.Key(),
-		Alert{Type: AlertExactOrigin, Prefix: prefix.MustParse("10.1.0.0/22"), Origin: 777}.Key(),
-		Alert{Type: AlertExactOrigin, Prefix: prefix.MustParse("192.0.2.0/24"), Origin: 888}.Key(),
+	want := []incidentKey{
+		{typ: AlertExactOrigin, prefix: prefix.MustParse("10.0.0.0/23"), origin: 666},
+		{typ: AlertExactOrigin, prefix: prefix.MustParse("10.1.0.0/22"), origin: 777},
+		{typ: AlertExactOrigin, prefix: prefix.MustParse("192.0.2.0/24"), origin: 888},
 	}
 	for i, k := range want {
 		if i >= len(handled) || handled[i] != k {

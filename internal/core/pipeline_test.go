@@ -126,10 +126,10 @@ func TestPipelineMatchesSerial(t *testing.T) {
 func TestPipelineAlertHandlerOrder(t *testing.T) {
 	det := NewDetector(multiOwnedConfig())
 	var mu sync.Mutex
-	var order []string
+	var order []incidentKey
 	det.OnAlert(func(a Alert) {
 		mu.Lock()
-		order = append(order, a.Key())
+		order = append(order, a.incident())
 		mu.Unlock()
 	})
 	p := newPipeline(det, nil, PipelineConfig{})
@@ -155,10 +155,10 @@ func TestPipelineAlertHandlerOrder(t *testing.T) {
 	if len(order) != 3 {
 		t.Fatalf("handler fired %d times, want 3: %v", len(order), order)
 	}
-	want := []string{
-		Alert{Type: AlertExactOrigin, Prefix: prefix.MustParse("10.0.0.0/23"), Origin: 666}.Key(),
-		Alert{Type: AlertExactOrigin, Prefix: prefix.MustParse("10.1.0.0/22"), Origin: 777}.Key(),
-		Alert{Type: AlertExactOrigin, Prefix: prefix.MustParse("192.0.2.0/24"), Origin: 888}.Key(),
+	want := []incidentKey{
+		{typ: AlertExactOrigin, prefix: prefix.MustParse("10.0.0.0/23"), origin: 666},
+		{typ: AlertExactOrigin, prefix: prefix.MustParse("10.1.0.0/22"), origin: 777},
+		{typ: AlertExactOrigin, prefix: prefix.MustParse("192.0.2.0/24"), origin: 888},
 	}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("handler order %v, want %v", order, want)
@@ -268,17 +268,17 @@ func TestPipelineStress(t *testing.T) {
 		t.Fatalf("per-source counts diverge:\n got  %v\n want %v", got, want)
 	}
 	// Alert *set* must match the union (order across streams is unordered).
-	wantKeys := map[string]bool{}
+	wantKeys := map[incidentKey]bool{}
 	for _, evs := range streams {
 		ref := NewDetector(multiOwnedConfig())
 		ref.ProcessBatch(evs)
 		for _, a := range ref.Alerts() {
-			wantKeys[a.Key()] = true
+			wantKeys[a.incident()] = true
 		}
 	}
-	gotKeys := map[string]bool{}
+	gotKeys := map[incidentKey]bool{}
 	for _, a := range det.Alerts() {
-		gotKeys[a.Key()] = true
+		gotKeys[a.incident()] = true
 	}
 	if !reflect.DeepEqual(gotKeys, wantKeys) {
 		t.Fatalf("alert sets diverge: got %d want %d", len(gotKeys), len(wantKeys))

@@ -26,7 +26,7 @@ type Service struct {
 	// retries counts mitigation re-attempts per incident, bounding the
 	// southbound-failure retry loop.
 	retryMu sync.Mutex
-	retries map[string]int
+	retries map[incidentKey]int
 
 	// cur is the active configuration snapshot; SwapConfig replaces it.
 	cur atomic.Pointer[Config]
@@ -88,7 +88,7 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 		Detector:  NewDetector(cfg),
 		Mitigator: NewMitigator(cfg, ctrl, now),
 		Monitor:   NewMonitor(cfg),
-		retries:   make(map[string]int),
+		retries:   make(map[incidentKey]int),
 		now:       now,
 	}
 	s.cur.Store(cfg)
@@ -131,8 +131,8 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 			}
 			for _, alert := range s.Mitigator.NoteAnnounceFailure(a.Prefix, a.Err) {
 				s.retryMu.Lock()
-				s.retries[alert.Key()]++
-				n := s.retries[alert.Key()]
+				s.retries[alert.incident()]++
+				n := s.retries[alert.incident()]
 				s.retryMu.Unlock()
 				if n <= max {
 					s.Mitigation.Enqueue(alert)

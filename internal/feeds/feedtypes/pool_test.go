@@ -59,22 +59,37 @@ func TestBatchAppendCopy(t *testing.T) {
 }
 
 // TestPoolRecycles verifies Get after Put reuses the backing arrays
-// (the whole point) and that the recycled batch arrives empty.
+// (the whole point) and that the recycled batch arrives empty. Under the
+// race detector sync.Pool drops a random share of Puts, so there the
+// round trip is repeated until one recycled batch comes back; without it
+// the first Get must be the recycled batch.
 func TestPoolRecycles(t *testing.T) {
+	tries := 1
+	if raceEnabled {
+		tries = 64
+	}
 	pool := NewBatchPool()
-	b := pool.Get()
-	b.AppendCopy(poolEvent("10.0.0.0/24", 1, 2, 3))
-	evCap, pathCap := cap(b.Events), cap(b.paths)
-	b.Release()
+	var evCap, pathCap int
+	for range tries {
+		b := pool.Get()
+		b.AppendCopy(poolEvent("10.0.0.0/24", 1, 2, 3))
+		evCap, pathCap = cap(b.Events), cap(b.paths)
+		b.Release()
 
-	b2 := pool.Get()
-	if len(b2.Events) != 0 || len(b2.paths) != 0 {
-		t.Fatalf("recycled batch not empty: %d events, %d arena", len(b2.Events), len(b2.paths))
+		b2 := pool.Get()
+		if len(b2.Events) != 0 || len(b2.paths) != 0 {
+			t.Fatalf("recycled batch not empty: %d events, %d arena", len(b2.Events), len(b2.paths))
+		}
+		if cap(b2.Events) == evCap && cap(b2.paths) == pathCap {
+			return
+		}
+		if !raceEnabled {
+			t.Fatalf("recycled batch lost its backing arrays: ev %d→%d, arena %d→%d",
+				evCap, cap(b2.Events), pathCap, cap(b2.paths))
+		}
+		b2.Release()
 	}
-	if cap(b2.Events) != evCap || cap(b2.paths) != pathCap {
-		t.Fatalf("recycled batch lost its backing arrays: ev %d→%d, arena %d→%d",
-			evCap, cap(b2.Events), pathCap, cap(b2.paths))
-	}
+	t.Fatalf("no recycled batch kept its backing arrays (ev cap %d, arena cap %d) in %d round trips", evCap, pathCap, tries)
 }
 
 // TestPoisonMarksReleasedStorage verifies the poison knob overwrites a

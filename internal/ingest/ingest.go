@@ -121,8 +121,9 @@ type Config struct {
 	// DedupTTL is how long a seen route change suppresses copies from
 	// other sources (default 10min; negative disables dedup entirely).
 	DedupTTL time.Duration
-	// DedupMax caps the seen-set size; the oldest identity is evicted
-	// beyond it (default 65536).
+	// DedupMax caps the seen-set size (default 65536). Beyond it the
+	// oldest identity in the whole set is evicted; the set grows to the
+	// cap as identities arrive rather than being allocated up front.
 	DedupMax int
 	// BackoffBase is the first reconnect delay (default 250ms).
 	BackoffBase time.Duration
@@ -983,8 +984,8 @@ func (s *Supervisor) SourceState(id SourceID) State {
 // emission time are deliberately excluded: those differ between copies of
 // the same change delivered by different feeds. Two distinct changes
 // collide with probability ~2^-64; the fingerprint keeps the seen-set's
-// per-copy cost to one cheap hash and one small-key map operation, which
-// is what lets 8-source fan-in track single-source throughput
+// per-copy cost to one cheap hash and one probe of a uint64-keyed set,
+// which is what lets 8-source fan-in track single-source throughput
 // (BenchmarkIngestFanIn).
 func keyOf(ev *feedtypes.Event) uint64 {
 	const (
@@ -1003,45 +1004,18 @@ func keyOf(ev *feedtypes.Event) uint64 {
 	for _, as := range ev.Path {
 		h = (h ^ uint64(as)) * prime
 	}
-	// Finalize so the low bits (shard index) depend on every field.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
 	return h
 }
 
-// dedupShards spreads the seen-set over independently locked shards so
-// concurrent forwarders don't serialize on one mutex.
-const dedupShards = 16
-
-// dedupCache is the shared first-wins seen-set, sharded by fingerprint.
+// dedupCache is the shared first-wins seen-set: one set under one lock,
+// taken once per batch.
 type dedupCache struct {
-	shards [dedupShards]struct {
-		mu  sync.Mutex
-		set *ttlset.Set[uint64]
-	}
+	mu  sync.Mutex
+	set *ttlset.Set[uint64]
 }
 
 func newDedupCache(ttl time.Duration, max int) *dedupCache {
-	d := &dedupCache{}
-	per := max / dedupShards
-	if per < 1 {
-		per = 1
-	}
-	for i := range d.shards {
-		d.shards[i].set = ttlset.New[uint64](ttl, per)
-	}
-	return d
-}
-
-// add records one event's identity, reporting whether it was fresh.
-func (d *dedupCache) add(ev *feedtypes.Event) bool {
-	k := keyOf(ev)
-	sh := &d.shards[k%dedupShards]
-	sh.mu.Lock()
-	fresh := sh.set.Add(k, ev.EmittedAt)
-	sh.mu.Unlock()
-	return fresh
+	return &dedupCache{set: ttlset.New[uint64](ttl, max)}
 }
 
 // filter returns the events of batch not already seen, preserving order.
@@ -1052,8 +1026,10 @@ func (d *dedupCache) add(ev *feedtypes.Event) bool {
 // scratch buffer pays no allocation. hits is incremented once per
 // suppressed event.
 func (d *dedupCache) filter(batch []feedtypes.Event, hits *stats.Counter, buf []feedtypes.Event) []feedtypes.Event {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	n := 0
-	for n < len(batch) && d.add(&batch[n]) {
+	for n < len(batch) && d.set.Add(keyOf(&batch[n]), batch[n].EmittedAt) {
 		n++
 	}
 	if n == len(batch) {
@@ -1062,7 +1038,7 @@ func (d *dedupCache) filter(batch []feedtypes.Event, hits *stats.Counter, buf []
 	hits.Inc()
 	out := append(buf[:0], batch[:n]...)
 	for i := n + 1; i < len(batch); i++ {
-		if d.add(&batch[i]) {
+		if d.set.Add(keyOf(&batch[i]), batch[i].EmittedAt) {
 			out = append(out, batch[i])
 		} else {
 			hits.Inc()
@@ -1072,11 +1048,7 @@ func (d *dedupCache) filter(batch []feedtypes.Event, hits *stats.Counter, buf []
 }
 
 func (d *dedupCache) size() int {
-	total := 0
-	for i := range d.shards {
-		d.shards[i].mu.Lock()
-		total += d.shards[i].set.Len()
-		d.shards[i].mu.Unlock()
-	}
-	return total
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.set.Len()
 }

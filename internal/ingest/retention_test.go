@@ -216,7 +216,7 @@ func TestEventLogPendingSurvivesArenaReset(t *testing.T) {
 				Prefix:    prefix.MustParse(fmt.Sprintf("10.%d.%d.0/24", g, i)),
 				Path:      append(path, bgp.ASN(60000+n)),
 				SeenAt:    time.Duration(n) * time.Microsecond,
-				EmittedAt: time.Duration(g) * 4 * time.Millisecond, // a group is due together
+				EmittedAt: time.Duration(g) * 40 * time.Millisecond, // a group is due together
 			})
 		}
 	}

@@ -190,18 +190,24 @@ func TestSetBoundsGrowTTLExtends(t *testing.T) {
 }
 
 // BenchmarkAddChurn is the ingest dedup cache at its defaults under a
-// lossless replay: 16 shards of 4096 keys (DedupMax 1<<16), a 10-minute
-// TTL, every key fresh and the clock advancing at 100k events/s, so once
-// the shards fill each Add inserts one key and evicts the oldest.
+// lossless replay: one set of DedupMax 1<<16 keys, a 10-minute TTL,
+// every key fresh and the clock advancing at 100k events/s. The set is
+// full before timing starts, so each Add inserts one key and evicts the
+// oldest.
 func BenchmarkAddChurn(b *testing.B) {
-	const shards, per = 16, 4096
-	var sets [shards]*Set[uint64]
-	for i := range sets {
-		sets[i] = New[uint64](10*time.Minute, per)
+	const max = 1 << 16
+	s := New[uint64](10*time.Minute, max)
+	var k uint64
+	add := func() {
+		k++
+		s.Add(k*0x9e3779b97f4a7c15, time.Duration(k)*10*time.Microsecond)
+	}
+	for range max {
+		add()
 	}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i) * 0x9e3779b97f4a7c15
-		sets[k%shards].Add(k, time.Duration(i)*10*time.Microsecond)
+	b.ResetTimer()
+	for range b.N {
+		add()
 	}
 }

@@ -43,9 +43,11 @@
 package control
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -450,20 +452,7 @@ func (s *Server) getAlerts(w http.ResponseWriter, r *http.Request, scope artemis
 	if !ok {
 		return
 	}
-	var alerts []artemis.Alert
-	if tenant == "" {
-		alerts = s.node.Alerts() // admin, no parameter: all tenants
-	} else {
-		var err error
-		if alerts, err = s.node.TenantAlerts(tenant); err != nil {
-			writeError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-	}
-	if alerts == nil {
-		alerts = []artemis.Alert{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"alerts": alerts})
+	streamList(w, "alerts", func(fn func(artemis.Alert)) error { return s.node.EachAlert(tenant, fn) })
 }
 
 func (s *Server) getMitigations(w http.ResponseWriter, r *http.Request, scope artemis.AuthScope) {
@@ -471,20 +460,7 @@ func (s *Server) getMitigations(w http.ResponseWriter, r *http.Request, scope ar
 	if !ok {
 		return
 	}
-	var mits []artemis.Mitigation
-	if tenant == "" {
-		mits = s.node.Mitigations()
-	} else {
-		var err error
-		if mits, err = s.node.TenantMitigations(tenant); err != nil {
-			writeError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-	}
-	if mits == nil {
-		mits = []artemis.Mitigation{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"mitigations": mits})
+	streamList(w, "mitigations", func(fn func(artemis.Mitigation)) error { return s.node.EachMitigation(tenant, fn) })
 }
 
 func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request, _ artemis.AuthScope) {
@@ -644,6 +620,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// streamList answers 200 with {"<key>":[...]} holding every element
+// each visits, encoded one at a time into the response so that neither
+// the list nor its JSON is ever held whole. The body is byte-identical to
+// writeJSON's for map[string]any{key: elements}. each reports its error
+// (an unknown tenant) before visiting anything; that answers 404.
+func streamList[T any](w http.ResponseWriter, key string, each func(func(T)) error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	open := func() {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"`+key+`":[`)
+	}
+	n := 0
+	err := each(func(v T) {
+		if n == 0 {
+			open()
+		} else {
+			buf.WriteByte(',')
+		}
+		n++
+		enc.Encode(v)
+		w.Write(buf.Bytes()[:buf.Len()-1]) // Encode ends each value with a newline
+		buf.Reset()
+	})
+	if err != nil {
+		writeError(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	if n == 0 {
+		open()
+	}
+	io.WriteString(w, "]}\n")
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

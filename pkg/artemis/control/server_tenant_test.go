@@ -24,9 +24,9 @@ type tenantAPIHarness struct {
 	api  *httptest.Server
 }
 
-func newTenantAPIHarness(t *testing.T, cfg *artemis.Config) *tenantAPIHarness {
+func newTenantAPIHarness(t *testing.T, cfg *artemis.Config, opts ...artemis.Option) *tenantAPIHarness {
 	t.Helper()
-	node, err := artemis.New(cfg, artemis.WithLogf(func(string, ...any) {}))
+	node, err := artemis.New(cfg, append(opts, artemis.WithLogf(func(string, ...any) {}))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1378,72 +1378,88 @@ func (n *Node) tenantStatusLocked(name string) (TenantStatus, error) {
 // Alerts returns every alert raised so far across all tenants, grouped
 // by tenant in policy-table order (oldest first within a tenant).
 func (n *Node) Alerts() []Alert {
-	n.mu.Lock()
-	tenants := n.orderedTenantsLocked()
-	n.mu.Unlock()
 	var out []Alert
-	for _, ts := range tenants {
-		for _, a := range ts.svc.Detector.Alerts() {
-			pub := alertFromCore(a)
-			pub.Tenant = ts.name
-			n.enrichAlert(&pub)
-			out = append(out, pub)
-		}
-	}
+	n.EachAlert("", func(a Alert) { out = append(out, a) })
 	return out
 }
 
 // TenantAlerts returns one tenant's alerts, oldest first.
 func (n *Node) TenantAlerts(tenant string) ([]Alert, error) {
-	n.mu.Lock()
-	ts, ok := n.tenants[tenant]
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("artemis: unknown tenant %q", tenant)
-	}
-	alerts := ts.svc.Detector.Alerts()
-	out := make([]Alert, len(alerts))
-	for i, a := range alerts {
-		out[i] = alertFromCore(a)
-		out[i].Tenant = tenant
-		n.enrichAlert(&out[i])
+	out := []Alert{}
+	if err := n.EachAlert(tenant, func(a Alert) { out = append(out, a) }); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// EachAlert calls fn with each alert of one tenant, oldest first, or of
+// every tenant in policy-table order when tenant is "". An unknown
+// tenant is reported before fn is called. fn runs without the node's or
+// the detector's lock, so it may block (the REST server encodes each
+// alert straight into the response).
+func (n *Node) EachAlert(tenant string, fn func(Alert)) error {
+	tenants, err := n.scopeTenants(tenant)
+	if err != nil {
+		return err
+	}
+	for _, ts := range tenants {
+		ts.svc.Detector.EachAlert(func(a core.Alert) {
+			pub := alertFromCore(a)
+			pub.Tenant = ts.name
+			n.enrichAlert(&pub)
+			fn(pub)
+		})
+	}
+	return nil
 }
 
 // Mitigations returns every mitigation attempt so far across all
 // tenants, grouped by tenant in policy-table order.
 func (n *Node) Mitigations() []Mitigation {
-	n.mu.Lock()
-	tenants := n.orderedTenantsLocked()
-	n.mu.Unlock()
 	var out []Mitigation
-	for _, ts := range tenants {
-		for _, r := range ts.svc.Mitigator.Records() {
-			pub := mitigationFromCore(r)
-			pub.Alert.Tenant = ts.name
-			out = append(out, pub)
-		}
-	}
+	n.EachMitigation("", func(m Mitigation) { out = append(out, m) })
 	return out
 }
 
 // TenantMitigations returns one tenant's mitigation attempts, oldest
 // first.
 func (n *Node) TenantMitigations(tenant string) ([]Mitigation, error) {
+	out := []Mitigation{}
+	if err := n.EachMitigation(tenant, func(m Mitigation) { out = append(out, m) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EachMitigation is EachAlert for mitigation attempts.
+func (n *Node) EachMitigation(tenant string, fn func(Mitigation)) error {
+	tenants, err := n.scopeTenants(tenant)
+	if err != nil {
+		return err
+	}
+	for _, ts := range tenants {
+		ts.svc.Mitigator.EachRecord(func(r core.MitigationRecord) {
+			pub := mitigationFromCore(r)
+			pub.Alert.Tenant = ts.name
+			fn(pub)
+		})
+	}
+	return nil
+}
+
+// scopeTenants resolves a tenant parameter: one tenant's stack, or every
+// stack in table order for "".
+func (n *Node) scopeTenants(tenant string) ([]*tenantState, error) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	if tenant == "" {
+		return n.orderedTenantsLocked(), nil
+	}
 	ts, ok := n.tenants[tenant]
-	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("artemis: unknown tenant %q", tenant)
 	}
-	recs := ts.svc.Mitigator.Records()
-	out := make([]Mitigation, len(recs))
-	for i, r := range recs {
-		out[i] = mitigationFromCore(r)
-		out[i].Alert.Tenant = tenant
-	}
-	return out, nil
+	return []*tenantState{ts}, nil
 }
 
 // orderedTenantsLocked snapshots the tenant stacks in table order.
