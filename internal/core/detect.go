@@ -10,7 +10,6 @@ import (
 	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/prefix"
 	"artemis/internal/rpki"
-	"artemis/internal/ttlset"
 )
 
 // AlertType classifies a detected hijack.
@@ -69,8 +68,8 @@ type Alert struct {
 
 // incidentKey identifies an incident — (type, prefix, origin) — as a
 // comparable struct: zero allocations to construct or look up. The
-// detector's dedup set, the mitigator's ledger and the service's retry
-// counts are all keyed by it.
+// incident table (Incidents) keys its dedup set and its per-incident
+// entries by it.
 type incidentKey struct {
 	prefix prefix.Prefix
 	origin bgp.ASN
@@ -91,13 +90,11 @@ type Detector struct {
 	// for the serial-equivalence argument).
 	cfg atomic.Pointer[Config]
 
-	mu sync.Mutex
-	// seen deduplicates incidents. With the default config it keeps every
-	// incident forever (the experiments' semantics); Config.AlertDedupTTL
-	// and AlertDedupMax bound it for long-running daemons, at which point
-	// a recurring hijack re-alerts once per TTL window.
-	seen     *ttlset.Set[incidentKey]
-	alerts   []Alert
+	// incidents holds the alert dedup set and the alert log.
+	incidents *Incidents
+
+	// mu guards the handlers and the per-source counts.
+	mu       sync.Mutex
 	handlers []func(Alert)
 	// perSource counts matching events per source name (diagnostics and
 	// the E2 per-source experiment). Cardinality is bounded: beyond
@@ -114,11 +111,10 @@ const maxTrackedSources = 64
 const otherSources = "other"
 
 // NewDetector builds the service; feed it with Process or ProcessBatch.
-func NewDetector(cfg *Config) *Detector {
-	d := &Detector{
-		seen:      ttlset.New[incidentKey](cfg.AlertDedupTTL, cfg.AlertDedupMax),
-		perSource: make(map[string]int),
-	}
+func NewDetector(cfg *Config) *Detector { return newDetector(cfg, newIncidents(cfg)) }
+
+func newDetector(cfg *Config, incidents *Incidents) *Detector {
+	d := &Detector{incidents: incidents, perSource: make(map[string]int)}
 	d.cfg.Store(cfg)
 	return d
 }
@@ -135,9 +131,9 @@ func (d *Detector) Config() *Config { return d.cfg.Load() }
 // already in the set.
 func (d *Detector) setConfig(next *Config) {
 	d.cfg.Store(next)
-	d.mu.Lock()
-	d.seen.SetBounds(next.AlertDedupTTL, next.AlertDedupMax)
-	d.mu.Unlock()
+	d.incidents.mu.Lock()
+	d.incidents.seen.SetBounds(next.AlertDedupTTL, next.AlertDedupMax)
+	d.incidents.mu.Unlock()
 }
 
 // OnAlert registers a handler invoked synchronously for each new alert.
@@ -246,19 +242,11 @@ func (c *Config) classifyRouted(ev *feedtypes.Event, owned prefix.Prefix, rel Al
 // the serialized stage: whatever goroutine runs it (callers of Process, or
 // the pipeline's sink) sees alerts in a single total order.
 func (d *Detector) commit(alert Alert) {
-	d.mu.Lock()
-	if !d.seen.Add(alert.incident(), alert.DetectedAt) {
-		d.mu.Unlock()
+	if !d.incidents.commit(&alert) {
 		return
 	}
-	// Fresh incident (rare): the evidence's Path still aliases the
-	// submitting batch's pooled arena, and the alert log outlives it.
-	if len(alert.Evidence.Path) > 0 {
-		alert.Evidence.Path = append([]bgp.ASN(nil), alert.Evidence.Path...)
-	}
-	d.alerts = append(d.alerts, alert)
-	handlers := make([]func(Alert), len(d.handlers))
-	copy(handlers, d.handlers)
+	d.mu.Lock()
+	handlers := d.handlers[:len(d.handlers):len(d.handlers)]
 	d.mu.Unlock()
 	for _, fn := range handlers {
 		fn(alert)
@@ -267,20 +255,15 @@ func (d *Detector) commit(alert Alert) {
 
 // addSourceCount folds one source's event count into the diagnostics
 // counter — the pipeline's sink calls it per (tenant, source) tally entry,
-// so the allocation-free path needs no maps.
+// so the allocation-free path needs no maps. A new name folds into the
+// overflow bucket once the map is at capacity.
 func (d *Detector) addSourceCount(src string, n int) {
 	d.mu.Lock()
-	d.perSource[d.sourceBucketLocked(src)] += n
-	d.mu.Unlock()
-}
-
-// sourceBucketLocked maps a source name to its counter key, folding new
-// names into the overflow bucket once the map is at capacity.
-func (d *Detector) sourceBucketLocked(src string) string {
-	if _, ok := d.perSource[src]; ok || len(d.perSource) < maxTrackedSources {
-		return src
+	if _, ok := d.perSource[src]; !ok && len(d.perSource) >= maxTrackedSources {
+		src = otherSources
 	}
-	return otherSources
+	d.perSource[src] += n
+	d.mu.Unlock()
 }
 
 // Process classifies one feed event. It is exported so network clients
@@ -289,9 +272,7 @@ func (d *Detector) sourceBucketLocked(src string) string {
 func (d *Detector) Process(ev feedtypes.Event) {
 	alert, counted, isAlert := d.Config().classify(&ev)
 	if counted {
-		d.mu.Lock()
-		d.perSource[d.sourceBucketLocked(ev.Source)]++
-		d.mu.Unlock()
+		d.addSourceCount(ev.Source, 1)
 	}
 	if isAlert {
 		d.commit(alert)
@@ -308,40 +289,28 @@ func (d *Detector) ProcessBatch(evs []feedtypes.Event) {
 }
 
 // Alerts returns all alerts raised so far.
-func (d *Detector) Alerts() []Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]Alert(nil), d.alerts...)
-}
+func (d *Detector) Alerts() []Alert { return append([]Alert(nil), d.incidents.alertLog()...) }
 
-// EachAlert calls fn with each alert raised so far, oldest first. The
-// alert log is append-only and its entries are never rewritten, so fn
-// runs on a snapshot of it without holding the detector's lock: a slow
-// fn (an HTTP response) never stalls alert commit.
+// EachAlert calls fn with each alert raised so far, oldest first. fn runs
+// on a snapshot of the append-only log without holding a lock: a slow fn
+// (an HTTP response) never stalls alert commit.
 func (d *Detector) EachAlert(fn func(Alert)) {
-	d.mu.Lock()
-	alerts := d.alerts[:len(d.alerts):len(d.alerts)]
-	d.mu.Unlock()
-	for i := range alerts {
-		fn(alerts[i])
+	for _, a := range d.incidents.alertLog() {
+		fn(a)
 	}
 }
 
 // AlertCount reports the number of alerts raised so far without copying
 // them — the metrics-scrape path.
-func (d *Detector) AlertCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.alerts)
-}
+func (d *Detector) AlertCount() int { return len(d.incidents.alertLog()) }
 
 // DedupSize reports how many incidents the dedup set currently holds —
 // with AlertDedupTTL/AlertDedupMax configured it is bounded, and the
 // metrics endpoint exposes it so operators can verify that.
 func (d *Detector) DedupSize() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.seen.Len()
+	d.incidents.mu.Lock()
+	defer d.incidents.mu.Unlock()
+	return d.incidents.seen.Len()
 }
 
 // EventsBySource reports how many matching events each source delivered.

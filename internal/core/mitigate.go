@@ -1,13 +1,10 @@
 package core
 
 import (
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"artemis/internal/prefix"
-	"artemis/internal/stats"
 )
 
 // MitigationRecord documents one mitigation action, successful or not.
@@ -28,8 +25,9 @@ type MitigationRecord struct {
 	// "it might not work for /24 prefixes" (§2).
 	Competitive bool
 	// Err is the controller failure that aborted the action; nil on
-	// success. Failed incidents are cleared from the dedup set so a later
-	// alert (or an operator retry) runs mitigation again.
+	// success. A failure releases the incident's claim in the incident
+	// table, so a retry (the service's, or an operator's) runs mitigation
+	// again.
 	Err error
 }
 
@@ -49,42 +47,26 @@ type Mitigator struct {
 	// atomically. A pending alert picks up whatever snapshot is active
 	// when its mitigation is handled — the same semantics as an operator
 	// changing the de-aggregation clamp between two incidents.
-	cfg  atomic.Pointer[Config]
-	ctrl RouteAnnouncer
-	now  func() time.Duration
-
-	mu       sync.Mutex
-	records  []MitigationRecord
-	onRecord []func(MitigationRecord)
-	ledger   map[incidentKey]*incidentState
-
-	failures stats.Counter
-}
-
-// incidentState is the mitigator's memory of one incident.
-type incidentState struct {
-	// claimed is set while the incident's mitigation runs or has
-	// succeeded; a failure releases it so the incident may be retried.
-	claimed bool
-	// requested are the prefixes the controller has accepted and that
-	// are not known to have failed downstream. A retry after a partial
-	// failure announces only what is missing instead of duplicating
-	// announcements already in flight. An attempt asks for at most two.
-	requested []prefix.Prefix
-	// last indexes the incident's latest record.
-	last int
+	cfg       atomic.Pointer[Config]
+	ctrl      RouteAnnouncer
+	now       func() time.Duration
+	incidents *Incidents
 }
 
 // NewMitigator builds the mitigation service. now supplies timestamps
 // (engine clock in simulation).
 func NewMitigator(cfg *Config, ctrl RouteAnnouncer, now func() time.Duration) *Mitigator {
-	m := &Mitigator{ctrl: ctrl, now: now, ledger: make(map[incidentKey]*incidentState)}
+	return newMitigator(cfg, ctrl, now, newIncidents(cfg))
+}
+
+func newMitigator(cfg *Config, ctrl RouteAnnouncer, now func() time.Duration, incidents *Incidents) *Mitigator {
+	m := &Mitigator{ctrl: ctrl, now: now, incidents: incidents}
 	m.cfg.Store(cfg)
 	return m
 }
 
 // setConfig installs a new configuration snapshot. In-flight incidents
-// keep their dedup claims and requested-prefix tracking.
+// keep their claims, requested prefixes and retry counts.
 func (m *Mitigator) setConfig(next *Config) { m.cfg.Store(next) }
 
 // OnRecord registers a callback invoked after each mitigation attempt
@@ -93,23 +75,9 @@ func (m *Mitigator) setConfig(next *Config) { m.cfg.Store(next) }
 // snapshot; callbacks run on the goroutine that handled the alert (or the
 // controller's result callback) and must not block.
 func (m *Mitigator) OnRecord(fn func(MitigationRecord)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.onRecord = append(m.onRecord, fn)
-}
-
-// notifyRecord snapshots record idx and dispatches the callbacks.
-func (m *Mitigator) notifyRecord(idx int) {
-	m.mu.Lock()
-	rec := m.records[idx]
-	rec.Prefixes = append([]prefix.Prefix(nil), rec.Prefixes...)
-	rec.Announced = append([]prefix.Prefix(nil), rec.Announced...)
-	fns := make([]func(MitigationRecord), len(m.onRecord))
-	copy(fns, m.onRecord)
-	m.mu.Unlock()
-	for _, fn := range fns {
-		fn(rec)
-	}
+	m.incidents.mu.Lock()
+	m.incidents.onRecord = append(m.incidents.onRecord, fn)
+	m.incidents.mu.Unlock()
 }
 
 // MitigationPrefixes computes the response to an alert: the sub-prefixes
@@ -149,20 +117,21 @@ func (m *Mitigator) MitigationPrefixes(a Alert) (prefixes []prefix.Prefix, compe
 // flight) and the incident is released for retry instead of being
 // silently marked done.
 func (m *Mitigator) HandleAlert(a Alert) {
-	m.mu.Lock()
-	inc := m.ledger[a.incident()]
-	if inc == nil {
-		inc = &incidentState{}
-		m.ledger[a.incident()] = inc
-	}
-	if inc.claimed {
-		m.mu.Unlock()
-		return
-	}
-	inc.claimed = true // claim the incident so concurrent retries don't race
-	m.mu.Unlock()
-
 	prefixes, competitive := m.MitigationPrefixes(a)
+	// Claim the incident and log the attempt before touching the
+	// controller: a failure callback (NoteAnnounceFailure) can fire on
+	// another goroutine as soon as the first Announce is scheduled, and it
+	// must find the incident.
+	inc, idx, todo := m.incidents.start(MitigationRecord{
+		Alert:       a,
+		Prefixes:    prefixes,
+		Announced:   make([]prefix.Prefix, 0, len(prefixes)),
+		TriggeredAt: m.now(),
+		Competitive: competitive,
+	})
+	if inc == nil {
+		return // claimed: running or already mitigated
+	}
 	// Register our own de-aggregations before the controller can route
 	// them: every feed echoes announcements back into the detector, and an
 	// unregistered more-specific of owned space would raise a sub-prefix
@@ -172,119 +141,63 @@ func (m *Mitigator) HandleAlert(a Alert) {
 			self.Add(p)
 		}
 	}
-	// Register the record before touching the controller: a failure
-	// callback (NoteAnnounceFailure) can fire on another goroutine as soon
-	// as the first Announce is scheduled, and it must find the incident.
-	m.mu.Lock()
-	m.records = append(m.records, MitigationRecord{
-		Alert:       a,
-		Prefixes:    prefixes,
-		Announced:   make([]prefix.Prefix, 0, len(prefixes)),
-		TriggeredAt: m.now(),
-		Competitive: competitive,
-	})
-	idx := len(m.records) - 1
-	inc.last = idx
-	inc.requested = slices.Grow(inc.requested, len(prefixes))
-	m.mu.Unlock()
-
-	for _, p := range prefixes {
-		m.mu.Lock()
-		if slices.Contains(inc.requested, p) {
-			// A previous (partially failed) attempt already got this one
-			// accepted: a retry fills the gaps, it does not duplicate
-			// announcements already in flight.
-			m.mu.Unlock()
-			continue
+	var err error
+	n := 0
+	for ; n < len(todo); n++ {
+		if err = m.ctrl.Announce(todo[n]); err != nil {
+			break
 		}
-		inc.requested = append(inc.requested, p) // claim before Announce: failure feedback matches on it
-		m.mu.Unlock()
-		if err := m.ctrl.Announce(p); err != nil {
-			m.mu.Lock()
-			inc.forget(p) // never accepted
-			if m.records[idx].Err == nil {
-				m.records[idx].Err = err
-			}
-			m.failures.Inc()
-			inc.claimed = false // release: the incident may be retried
-			m.mu.Unlock()
-			m.notifyRecord(idx)
-			return
-		}
-		m.mu.Lock()
-		m.records[idx].Announced = append(m.records[idx].Announced, p)
-		m.mu.Unlock()
 	}
-	m.notifyRecord(idx)
+	m.incidents.settle(inc, idx, todo[:n], todo[n:], err)
 }
 
-// forget drops p from the requested prefixes, reporting whether it was
-// there.
-func (inc *incidentState) forget(p prefix.Prefix) bool {
-	i := slices.Index(inc.requested, p)
-	if i < 0 {
-		return false
-	}
-	inc.requested = slices.Delete(inc.requested, i, i+1)
-	return true
-}
+// DefaultMaxMitigationRetries bounds how many times a failed mitigation is
+// automatically re-attempted before the incident is left to the operator,
+// when Config.MaxMitigationRetries does not say otherwise.
+const DefaultMaxMitigationRetries = 5
 
 // NoteAnnounceFailure reports that an announcement the controller had
 // accepted failed downstream (the southbound is asynchronous, so
 // HandleAlert cannot see this itself — the Service wires it to
 // controller.OnResult). The announcement of p is one shared route, so
-// every incident that relies on it is unmitigated: each such incident's
-// latest record is marked failed, p is forgotten so a retry re-announces
-// it, and the incident's dedup claim is released. It returns the alerts
-// of the released incidents so the caller can schedule retries (the
-// detector's own dedup never re-delivers an alert for the same incident).
+// every incident that relies on it is unmitigated: in first-commit order,
+// each one's latest record is marked failed, p is forgotten so a retry
+// re-announces it, and its claim is released and its retry count bumped.
+// It returns the alerts to retry: those still within the active
+// snapshot's MaxMitigationRetries (the detector's dedup never
+// re-delivers an alert for the same incident).
 func (m *Mitigator) NoteAnnounceFailure(p prefix.Prefix, err error) []Alert {
-	m.mu.Lock()
-	var released []Alert
-	var failedIdx []int
-	for _, inc := range m.ledger {
-		if !inc.forget(p) {
-			continue
-		}
-		inc.claimed = false
-		m.failures.Inc()
-		rec := &m.records[inc.last]
-		if rec.Err == nil {
-			rec.Err = err
-		}
-		released = append(released, rec.Alert)
-		failedIdx = append(failedIdx, inc.last)
+	max := m.cfg.Load().MaxMitigationRetries
+	if max == 0 {
+		max = DefaultMaxMitigationRetries
 	}
-	m.mu.Unlock()
-	for _, idx := range failedIdx {
-		m.notifyRecord(idx)
-	}
-	return released
+	return m.incidents.announceFailed(p, err, max)
 }
 
 // Records returns the mitigations attempted so far, including failed
 // ones (Err != nil).
 func (m *Mitigator) Records() []MitigationRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]MitigationRecord(nil), m.records...)
+	m.incidents.mu.Lock()
+	defer m.incidents.mu.Unlock()
+	return append([]MitigationRecord(nil), m.incidents.records...)
 }
 
 // EachRecord calls fn with each mitigation attempt recorded so far,
 // oldest first. Records are updated in place as announcements succeed or
 // fail, so each is copied under the lock and fn runs without it.
 func (m *Mitigator) EachRecord(fn func(MitigationRecord)) {
-	m.mu.Lock()
-	n := len(m.records)
-	m.mu.Unlock()
+	t := m.incidents
+	t.mu.Lock()
+	n := len(t.records)
+	t.mu.Unlock()
 	for i := 0; i < n; i++ {
-		m.mu.Lock()
-		rec := m.records[i]
-		m.mu.Unlock()
+		t.mu.Lock()
+		rec := t.records[i]
+		t.mu.Unlock()
 		fn(rec)
 	}
 }
 
 // Failures reports how many mitigation attempts aborted on a controller
 // error.
-func (m *Mitigator) Failures() int64 { return m.failures.Load() }
+func (m *Mitigator) Failures() int64 { return m.incidents.failures.Load() }

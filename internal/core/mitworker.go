@@ -111,20 +111,6 @@ func (q *MitigationQueue) run() {
 // blocking when it is full. Alerts enqueued after Close are dropped (and
 // counted), matching the pipeline's submit-after-close behavior.
 func (q *MitigationQueue) Enqueue(a Alert) {
-	if q.cfg.Synchronous {
-		q.life.RLock()
-		defer q.life.RUnlock()
-		if q.closed {
-			q.dropped.Inc()
-			return
-		}
-		q.enqueued.Inc()
-		start := time.Now()
-		q.handler(a)
-		q.handle.Observe(time.Since(start))
-		q.handled.Inc()
-		return
-	}
 	q.life.RLock()
 	defer q.life.RUnlock()
 	if q.closed {
@@ -134,6 +120,13 @@ func (q *MitigationQueue) Enqueue(a Alert) {
 	// Count before the send: the worker may handle the alert before this
 	// goroutine runs again, and Handled must never exceed Enqueued.
 	q.enqueued.Inc()
+	if q.cfg.Synchronous {
+		start := time.Now()
+		q.handler(a)
+		q.handle.Observe(time.Since(start))
+		q.handled.Inc()
+		return
+	}
 	item := queuedAlert{alert: a, at: time.Now()}
 	select {
 	case q.ch <- item:

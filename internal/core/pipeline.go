@@ -299,7 +299,7 @@ func (w *worker) routeOne(events []feedtypes.Event, i int) {
 		for k := w.base; k < int32(len(w.matches)); k++ {
 			m := w.matches[k]
 			e := &t.entries[m.tenant]
-			if perSec := e.cfg.MaxEventsPerSecond; perSec > 0 && !e.rt.allow(now, perSec) {
+			if perSec := e.cfg.MaxEventsPerSecond; perSec > 0 && !e.rt.quota.take(now, perSec, time.Duration.Seconds) {
 				w.drops = bump(w.drops, m.tenant)
 				continue
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,32 +22,19 @@ type Service struct {
 	// WithAsyncMitigation turns it into a bounded background worker.
 	Mitigation *MitigationQueue
 
-	// retries counts mitigation re-attempts per incident, bounding the
-	// southbound-failure retry loop.
-	retryMu sync.Mutex
-	retries map[incidentKey]int
-
 	// cur is the active configuration snapshot; SwapConfig replaces it.
 	cur atomic.Pointer[Config]
 
 	// now clocks the mitigation rate limiter (wall clock in daemons, the
 	// engine clock in experiments).
 	now func() time.Duration
-	// mitMu guards the MitigationRatePerMin token bucket.
-	mitMu     sync.Mutex
-	mitTokens float64
-	mitLast   time.Duration
-	mitSeeded bool
+	// mitBucket is the MitigationRatePerMin token bucket.
+	mitBucket bucket
 	// mitRateDrops counts alerts the rate limit kept out of auto-mitigation.
 	mitRateDrops stats.Counter
 	// onMitigationDrop, when set, observes each rate-limited alert.
-	onMitigationDrop func(Alert)
+	onMitigationDrop atomic.Pointer[func(Alert)]
 }
-
-// DefaultMaxMitigationRetries bounds how many times a failed mitigation is
-// automatically re-attempted before the incident is left to the operator,
-// when Config.MaxMitigationRetries does not say otherwise.
-const DefaultMaxMitigationRetries = 5
 
 // ServiceOption configures NewService.
 type ServiceOption func(*serviceOptions)
@@ -84,11 +70,11 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 		// not flag them as sub-prefix hijacks when the feeds echo them back.
 		cfg.Self = NewSelfAnnounced()
 	}
+	incidents := newIncidents(cfg)
 	s := &Service{
-		Detector:  NewDetector(cfg),
-		Mitigator: NewMitigator(cfg, ctrl, now),
+		Detector:  newDetector(cfg, incidents),
+		Mitigator: newMitigator(cfg, ctrl, now, incidents),
 		Monitor:   NewMonitor(cfg),
-		retries:   make(map[incidentKey]int),
 		now:       now,
 	}
 	s.cur.Store(cfg)
@@ -97,11 +83,8 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 		s.Detector.OnAlert(func(a Alert) {
 			if !s.allowMitigation() {
 				s.mitRateDrops.Inc()
-				s.mitMu.Lock()
-				fn := s.onMitigationDrop
-				s.mitMu.Unlock()
-				if fn != nil {
-					fn(a)
+				if fn := s.onMitigationDrop.Load(); fn != nil {
+					(*fn)(a)
 				}
 				return
 			}
@@ -115,28 +98,18 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 		// are marked and released, then re-enqueue them: the detector's
 		// dedup never re-delivers an alert for an incident it has seen, so
 		// without this loop a transient southbound outage would leave the
-		// hijack unmitigated forever. Retries are bounded per incident;
-		// each cycle is naturally paced by the controller's config delay.
+		// hijack unmitigated forever. Retries are bounded per incident by
+		// the active snapshot's MaxMitigationRetries, read on every
+		// failure, so retuning it applies to incidents already in the
+		// loop; each cycle is naturally paced by the controller's config
+		// delay. Retries bypass the mitigation rate limit: the incident
+		// was already admitted once.
 		ctrl.OnResult(func(a controller.Action) {
 			if a.Err == nil || a.Kind != controller.ActionAnnounce {
 				return
 			}
-			// The bound is read from the active snapshot on every failure,
-			// so retuning Config.MaxMitigationRetries applies to incidents
-			// already in the retry loop. Retries bypass the mitigation rate
-			// limit: the incident was already admitted once.
-			max := s.CurrentConfig().MaxMitigationRetries
-			if max == 0 {
-				max = DefaultMaxMitigationRetries
-			}
 			for _, alert := range s.Mitigator.NoteAnnounceFailure(a.Prefix, a.Err) {
-				s.retryMu.Lock()
-				s.retries[alert.incident()]++
-				n := s.retries[alert.incident()]
-				s.retryMu.Unlock()
-				if n <= max {
-					s.Mitigation.Enqueue(alert)
-				}
+				s.Mitigation.Enqueue(alert)
 			}
 		})
 	}
@@ -148,29 +121,7 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 // active config does not set a rate.
 func (s *Service) allowMitigation() bool {
 	perMin := s.CurrentConfig().MitigationRatePerMin
-	if perMin <= 0 {
-		return true
-	}
-	now := s.now()
-	s.mitMu.Lock()
-	defer s.mitMu.Unlock()
-	if !s.mitSeeded {
-		s.mitSeeded = true
-		s.mitLast = now
-		s.mitTokens = float64(perMin)
-	}
-	if now > s.mitLast {
-		s.mitTokens += (now - s.mitLast).Minutes() * float64(perMin)
-		if max := float64(perMin); s.mitTokens > max {
-			s.mitTokens = max
-		}
-		s.mitLast = now
-	}
-	if s.mitTokens >= 1 {
-		s.mitTokens--
-		return true
-	}
-	return false
+	return perMin <= 0 || s.mitBucket.take(s.now(), perMin, time.Duration.Minutes)
 }
 
 // MitigationRateDrops reports how many alerts the MitigationRatePerMin
@@ -182,9 +133,7 @@ func (s *Service) MitigationRateDrops() int64 { return s.mitRateDrops.Load() }
 // Register before events flow; fn runs on the alert-committing goroutine
 // and must not block.
 func (s *Service) OnMitigationDrop(fn func(Alert)) {
-	s.mitMu.Lock()
-	s.onMitigationDrop = fn
-	s.mitMu.Unlock()
+	s.onMitigationDrop.Store(&fn)
 }
 
 // CurrentConfig returns the active configuration snapshot. Treat it as

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,11 +195,64 @@ func TestServiceRetriesFailedMitigation(t *testing.T) {
 }
 
 // TestServiceRetryBounded: a permanently dead southbound stops retrying
-// after MaxMitigationRetries instead of looping forever.
+// after MaxMitigationRetries instead of looping forever — exactly one
+// first attempt plus DefaultMaxMitigationRetries retries, or, once a
+// swap lowers the bound mid-loop, no attempt beyond the new bound.
 func TestServiceRetryBounded(t *testing.T) {
+	deadService := func(t *testing.T) (*sim.Engine, *controller.Controller, *Service) {
+		eng := sim.NewEngine(1)
+		inj := &flakyInjector{failures: 1 << 30}
+		ctrl := controller.New(inj, eng.Now, eng.After, controller.WithConfigDelay(time.Second))
+		svc, err := NewService(&Config{
+			OwnedPrefixes: []prefix.Prefix{prefix.MustParse("10.0.0.0/23")},
+			LegitOrigins:  []bgp.ASN{topo.FirstASN},
+		}, ctrl, eng.Now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
+		svc.Detector.Process(announceEvent("10.0.0.0/23", 1001, 666))
+		return eng, ctrl, svc
+	}
+
+	t.Run("default", func(t *testing.T) {
+		eng, ctrl, svc := deadService(t)
+		eng.Run() // must terminate: the retry loop is bounded
+
+		if got := ctrl.Failures(); got == 0 {
+			t.Fatal("no controller failures recorded")
+		}
+		if len(ctrl.Applied()) != 0 {
+			t.Fatalf("dead southbound applied actions: %+v", ctrl.Applied())
+		}
+		if got, want := len(svc.Mitigator.Records()), 1+DefaultMaxMitigationRetries; got != want {
+			t.Fatalf("attempts = %d, want %d (first + DefaultMaxMitigationRetries)", got, want)
+		}
+	})
+
+	t.Run("lowered-mid-loop", func(t *testing.T) {
+		eng, _, svc := deadService(t)
+		for len(svc.Mitigator.Records()) < 2 && eng.Step() {
+		}
+		if got := len(svc.Mitigator.Records()); got != 2 {
+			t.Fatalf("attempts before the swap = %d, want 2", got)
+		}
+		next := svc.CurrentConfig().Clone()
+		next.MaxMitigationRetries = 1
+		svc.SwapConfig(next)
+		eng.Run()
+		if got := len(svc.Mitigator.Records()); got != 2 {
+			t.Fatalf("attempts after lowering the bound to 1 = %d, want 2 (first + 1 retry)", got)
+		}
+	})
+}
+
+// TestAnnounceFailureReleasesInCommitOrder: one failed announcement that
+// several incidents share releases them in the order they were committed,
+// so their retries, and the mitigation records, follow input order.
+func TestAnnounceFailureReleasesInCommitOrder(t *testing.T) {
 	eng := sim.NewEngine(1)
-	inj := &flakyInjector{failures: 1 << 30}
-	ctrl := controller.New(inj, eng.Now, eng.After, controller.WithConfigDelay(time.Second))
+	ctrl := controller.New(&flakyInjector{failures: 1}, eng.Now, eng.After, controller.WithConfigDelay(time.Second))
 	svc, err := NewService(&Config{
 		OwnedPrefixes: []prefix.Prefix{prefix.MustParse("10.0.0.0/23")},
 		LegitOrigins:  []bgp.ASN{topo.FirstASN},
@@ -206,16 +260,19 @@ func TestServiceRetryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Detector.Process(announceEvent("10.0.0.0/23", 1001, 666))
-	eng.Run() // must terminate: the retry loop is bounded
+	defer svc.Close()
+	for origin := bgp.ASN(666); origin <= 669; origin++ {
+		svc.Detector.Process(announceEvent("10.0.0.0/23", 1001, origin))
+	}
+	eng.Run()
 
-	if got := ctrl.Failures(); got == 0 {
-		t.Fatal("no controller failures recorded")
+	var origins []string
+	for _, r := range svc.Mitigator.Records() {
+		origins = append(origins, fmt.Sprint(uint32(r.Alert.Origin)))
 	}
-	if len(ctrl.Applied()) != 0 {
-		t.Fatalf("dead southbound applied actions: %+v", ctrl.Applied())
+	if got, want := strings.Join(origins, ","), "666,667,668,669,666,667,668,669"; got != want {
+		t.Fatalf("mitigation record origins = %s, want %s", got, want)
 	}
-	svc.Close()
 }
 
 func TestServiceRejectsBadConfig(t *testing.T) {

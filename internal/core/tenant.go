@@ -39,13 +39,10 @@ type TenantRuntime struct {
 	events     stats.Counter
 	quotaDrops stats.Counter
 
-	// The classification-quota token bucket, clocked by event time (like
-	// the ttlset dedup windows) so it is deterministic under the
-	// virtual-time experiments and needs no wall clock on the hot path.
-	quotaMu sync.Mutex
-	tokens  float64
-	lastAt  time.Duration
-	seeded  bool
+	// quota is the classification-quota token bucket, clocked by event
+	// time (like the ttlset dedup windows) so it is deterministic under
+	// the virtual-time experiments and needs no wall clock on the hot path.
+	quota bucket
 }
 
 // Events reports how many matched events were routed to the tenant.
@@ -55,30 +52,35 @@ func (rt *TenantRuntime) Events() int64 { return rt.events.Load() }
 // tenant's MaxEventsPerSecond quota shed.
 func (rt *TenantRuntime) QuotaDrops() int64 { return rt.quotaDrops.Load() }
 
-// allow spends one token from the tenant's event-time bucket. The bucket
-// holds at most one second's allowance (burst = perSec) and starts full at
-// the first observed event time. Event times can regress across sources;
-// the bucket only ever advances.
-func (rt *TenantRuntime) allow(now time.Duration, perSec int) bool {
-	rt.quotaMu.Lock()
-	defer rt.quotaMu.Unlock()
-	if !rt.seeded {
-		rt.seeded = true
-		rt.lastAt = now
-		rt.tokens = float64(perSec)
+// bucket is a token bucket clocked by its caller. It starts full at the
+// first time it sees and holds at most one period's allowance. Times can
+// regress (event times across sources); the bucket only ever advances.
+type bucket struct {
+	mu     sync.Mutex
+	tokens float64
+	last   time.Duration
+	seeded bool
+}
+
+// take spends one token from a bucket refilled at rate per period;
+// periods converts elapsed time to periods (time.Duration.Seconds for a
+// per-second rate, time.Duration.Minutes for a per-minute one).
+func (b *bucket) take(now time.Duration, rate int, periods func(time.Duration) float64) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	max := float64(rate)
+	if !b.seeded {
+		b.seeded, b.last, b.tokens = true, now, max
 	}
-	if now > rt.lastAt {
-		rt.tokens += (now - rt.lastAt).Seconds() * float64(perSec)
-		if max := float64(perSec); rt.tokens > max {
-			rt.tokens = max
-		}
-		rt.lastAt = now
+	if now > b.last {
+		b.tokens = min(b.tokens+periods(now-b.last)*max, max)
+		b.last = now
 	}
-	if rt.tokens >= 1 {
-		rt.tokens--
-		return true
+	if b.tokens < 1 {
+		return false
 	}
-	return false
+	b.tokens--
+	return true
 }
 
 // ownedRef locates one owned prefix: whose it is (tenant index in the
