@@ -70,10 +70,10 @@ soak:
 	ARTEMIS_SOAK=10s $(GO) test -race -run TestSoakFlappingFeeds -count=1 -v ./internal/ingest
 
 # Fuzz the wire-facing parsers: the dual-stack parse/format core, the
-# BMP message layer, the JSON scanner, the two JSON feed decoders
-# (event envelopes and RIS-Live messages, each against its encoding/json
-# reference) and the TABLE_DUMP_V2 bootstrap (against the decode-whole
-# reference it replaced). Each target runs for
+# BMP message layer, the JSON scanner, the three JSON decoders (event
+# envelopes, RIS-Live messages and ROA exports, each against its
+# encoding/json reference) and the TABLE_DUMP_V2 bootstrap (against the
+# decode-whole reference it replaced). Each target runs for
 # FUZZTIME (default 30s); new inputs that fail land in the package's
 # testdata/fuzz/ directory.
 FUZZTIME ?= 30s
@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEventJSON -fuzztime=$(FUZZTIME) ./internal/feeds/eventlog
 	$(GO) test -run='^$$' -fuzz=FuzzRISMessage -fuzztime=$(FUZZTIME) ./internal/feeds/ris
 	$(GO) test -run='^$$' -fuzz=FuzzRIBLoad -fuzztime=$(FUZZTIME) ./internal/rib
+	$(GO) test -run='^$$' -fuzz=FuzzROAParse -fuzztime=$(FUZZTIME) ./internal/rpki
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

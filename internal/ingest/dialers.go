@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bufio"
 	"io"
 
 	"artemis/internal/bgp"
@@ -97,15 +98,21 @@ func (c *replayConn) Close() error { return nil }
 // announcement per peer route. open is called on every (re)dial, so a
 // replay interrupted by Remove can be restarted. The stream ends with
 // ErrDone. Combine with Blocking.
+//
+// The archive is read through a 64 KiB buffer (mrtReadBuffer), so a
+// record costs no read of its own; a buffered read returns what one read
+// of the archive got, so a pipe's records are not held back to fill it.
 func MRTReplayDialer(open func() (io.ReadCloser, error), collector string) Dialer {
 	return DialFunc(func() (Conn, error) {
 		rc, err := open()
 		if err != nil {
 			return nil, err
 		}
-		return &mrtConn{rc: rc, r: mrt.NewReader(rc), collector: collector}, nil
+		return &mrtConn{rc: rc, r: mrt.NewReader(bufio.NewReaderSize(rc, mrtReadBuffer)), collector: collector}, nil
 	})
 }
+
+const mrtReadBuffer = 64 << 10
 
 type mrtConn struct {
 	rc        io.ReadCloser

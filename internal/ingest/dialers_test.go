@@ -86,6 +86,67 @@ func TestMRTReplayDialer(t *testing.T) {
 	}
 }
 
+// readCounter counts the Read calls made on a reader.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+func (c *readCounter) Close() error { return nil }
+
+// TestMRTReplayReadsBuffered replays a 1,000-record update archive and
+// counts the reads made on it: the dialer reads through a 64 KiB buffer,
+// so the archive takes at most one read per 64 KiB plus the one that
+// finds its end, not two per record.
+func TestMRTReplayReadsBuffered(t *testing.T) {
+	const records = 1000
+	epoch := time.Unix(1466000000, 0).UTC()
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	for i := range records {
+		if err := w.Write(&mrt.BGP4MPMessage{
+			Timestamp: epoch.Add(time.Duration(i) * time.Second),
+			PeerAS:    100,
+			PeerIP:    prefix.MustParseAddr("192.0.2.1"),
+			Message: &bgp.Update{
+				Attrs: ribAttrs(100, 2000, 666),
+				NLRI:  []prefix.Prefix{prefix.New(prefix.AddrFrom4(0x0a000000|uint32(i)<<8), 24)},
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := buf.Len()
+	rc := &readCounter{r: &buf}
+	conn, err := ingest.MRTReplayDialer(func() (io.ReadCloser, error) { return rc, nil }, "rv0").Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	events := 0
+	for {
+		evs, err := conn.Recv()
+		if err == ingest.ErrDone {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		events += len(evs)
+	}
+	if events != records {
+		t.Fatalf("events = %d, want %d", events, records)
+	}
+	if limit := (size+64<<10-1)/(64<<10) + 1; rc.reads > limit {
+		t.Fatalf("%d reads for %d records (%d bytes), want at most %d", rc.reads, records, size, limit)
+	}
+}
+
 // ribAttrs builds the path-attribute block of one RIB peer route.
 func ribAttrs(path ...bgp.ASN) []bgp.PathAttr {
 	return []bgp.PathAttr{

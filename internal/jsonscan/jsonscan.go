@@ -296,6 +296,19 @@ func (s *Scanner) Skip() {
 	}
 }
 
+// Raw consumes the next value, validating it, and returns its text as it
+// stands in the input, a sub-slice of it: what encoding/json hands to a
+// json.Unmarshaler.
+func (s *Scanner) Raw() []byte {
+	s.skipSpace()
+	start := s.pos
+	s.Skip()
+	if s.err != nil {
+		return nil
+	}
+	return s.data[start:s.pos]
+}
+
 // literal consumes true, false or null.
 func (s *Scanner) literal() {
 	var want string

@@ -46,6 +46,29 @@ func TestMaxDepth(t *testing.T) {
 	}
 }
 
+// TestRawMatchesRawMessage: Raw returns the bytes encoding/json hands a
+// json.Unmarshaler, for every valid document as an array element.
+func TestRawMatchesRawMessage(t *testing.T) {
+	for _, doc := range documents {
+		arr := []byte("[" + doc + "\n, 1]")
+		var want []json.RawMessage
+		if json.Unmarshal(arr, &want) != nil {
+			continue
+		}
+		var s Scanner
+		s.Reset(arr)
+		s.Enter()
+		s.More()
+		got := s.Raw()
+		s.More()
+		s.Skip()
+		s.More()
+		if err := s.End(); err != nil || !bytes.Equal(got, want[0]) {
+			t.Errorf("%q: Raw = %q (%v), encoding/json %q", doc, got, err, want[0])
+		}
+	}
+}
+
 // checkScalars decodes doc as each scalar field type with both decoders
 // and requires the same accept/reject decision and the same value.
 func checkScalars(t *testing.T, doc []byte) {

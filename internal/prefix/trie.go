@@ -10,11 +10,21 @@ package prefix
 // v4 path pays nothing for the wider keys. Walk order is all v4 prefixes
 // (trie order) followed by all v6 prefixes.
 //
+// Nodes are carved from chunks the trie owns, each holding as many nodes
+// as were carved before it (up to maxChunk), so a large table allocates
+// per chunk, not per node, and a small one stays small. Delete threads pruned nodes onto a
+// free list through child[0] and Ref takes from it first: a trie's node
+// storage stays at its high-water mark and is reused, never returned to
+// the heap.
+//
 // The trie is not safe for concurrent mutation; routers in the simulator
 // are single-goroutine actors, and ARTEMIS guards its own trie with a mutex.
 type Trie[V any] struct {
 	root4, root6 *node[V]
 	size         int
+	chunk        []node[V] // the current chunk's uncarved tail
+	free         *node[V]  // pruned nodes, chained through child[0]
+	nodes        int       // nodes carved so far, roots included
 }
 
 type node[V any] struct {
@@ -23,9 +33,34 @@ type node[V any] struct {
 	set   bool
 }
 
+// Chunk sizes, in nodes: the first chunk holds the two roots and a few
+// prefixes' worth, and maxChunk caps the growth.
+const (
+	minChunk = 16
+	maxChunk = 1024
+)
+
 // NewTrie returns an empty trie.
 func NewTrie[V any]() *Trie[V] {
-	return &Trie[V]{root4: &node[V]{}, root6: &node[V]{}}
+	t := &Trie[V]{}
+	t.root4, t.root6 = t.newNode(), t.newNode()
+	return t
+}
+
+// newNode returns a zeroed node: a pruned one when there is one, else the
+// next of the current chunk.
+func (t *Trie[V]) newNode() *node[V] {
+	if n := t.free; n != nil {
+		t.free, n.child[0] = n.child[0], nil
+		return n
+	}
+	if len(t.chunk) == 0 {
+		t.chunk = make([]node[V], min(max(t.nodes, minChunk), maxChunk))
+	}
+	n := &t.chunk[0]
+	t.chunk = t.chunk[1:]
+	t.nodes++
+	return n
 }
 
 func (t *Trie[V]) root(is6 bool) *node[V] {
@@ -54,7 +89,7 @@ func (t *Trie[V]) Ref(p Prefix) (v *V, added bool) {
 	for i := 0; i < p.Bits(); i++ {
 		b := p.bit(i)
 		if n.child[b] == nil {
-			n.child[b] = &node[V]{}
+			n.child[b] = t.newNode()
 		}
 		n = n.child[b]
 	}
@@ -95,7 +130,8 @@ func (t *Trie[V]) find(p Prefix) *node[V] {
 // Delete removes p. It reports whether the prefix was present.
 // Empty interior nodes are pruned so long-lived tries do not leak: the
 // descent remembers the last node that must stay (the root, a stored
-// prefix, or a fork), and the chain below it is cut off in one store.
+// prefix, or a fork), the chain below it is cut off in one store, and the
+// chain's nodes, each with one child at most, go on the free list.
 func (t *Trie[V]) Delete(p Prefix) bool {
 	n := t.root(p.Is6())
 	var keep *node[V]
@@ -117,7 +153,16 @@ func (t *Trie[V]) Delete(p Prefix) bool {
 	n.val, n.set = zero, false
 	t.size--
 	if keep != nil && n.child[0] == nil && n.child[1] == nil {
+		c := keep.child[keepBit]
 		keep.child[keepBit] = nil
+		for c != nil {
+			next := c.child[0]
+			if next == nil {
+				next = c.child[1]
+			}
+			c.child = [2]*node[V]{t.free, nil}
+			t.free, c = c, next
+		}
 	}
 	return true
 }

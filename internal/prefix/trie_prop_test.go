@@ -220,3 +220,53 @@ func TestTrieDeleteAllocs(t *testing.T) {
 		t.Fatalf("trie not pruned bare (Len %d)", tr.Len())
 	}
 }
+
+// reachable counts the nodes of n's tree.
+func reachable[V any](n *node[V]) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + reachable(n.child[0]) + reachable(n.child[1])
+}
+
+// TestTrieChurnReusesNodes: under 10k random insert/delete rounds over
+// nested v4 and v6 prefixes, every node the trie has carved is either in
+// one of its trees or on its free list, and it carves a new one only when
+// the trees need more nodes than ever before: its node count stays at the
+// high-water mark of nodes in use.
+func TestTrieChurnReusesNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := NewTrie[int]()
+	var stored []Prefix
+	high := 0
+	for round := 0; round < 10_000; round++ {
+		if len(stored) == 0 || rng.Intn(2) == 0 {
+			p := randPrefix(rng)
+			if tr.Insert(p, round) {
+				stored = append(stored, p)
+			}
+		} else {
+			i := rng.Intn(len(stored))
+			if !tr.Delete(stored[i]) {
+				t.Fatalf("round %d: stored %s not deleted", round, stored[i])
+			}
+			stored[i] = stored[len(stored)-1]
+			stored = stored[:len(stored)-1]
+		}
+		used := reachable(tr.root4) + reachable(tr.root6)
+		free := 0
+		for n := tr.free; n != nil; n = n.child[0] {
+			if n.set || n.child[1] != nil {
+				t.Fatalf("round %d: free node holds a value or a child", round)
+			}
+			free++
+		}
+		high = max(high, used)
+		if used+free != tr.nodes || tr.nodes != high {
+			t.Fatalf("round %d: %d nodes in use + %d free, %d carved, high-water mark %d", round, used, free, tr.nodes, high)
+		}
+	}
+	if high < 100 {
+		t.Fatalf("churn too small to show reuse: high-water mark %d nodes", high)
+	}
+}

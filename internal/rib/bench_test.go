@@ -88,10 +88,11 @@ func BenchmarkRIBApply(b *testing.B) {
 
 // TestLoadAllocsPerRoute holds the bootstrap to its allocation budget on
 // a snapshot of the glass-mixed benchmark workload's shape (100k v4 + 20k
-// v6 prefixes, seed 1). Decoding allocates nothing per route, and routes
-// and paths come from shared chunks; what is left is route.Table's one
-// index, a prefix state (first candidate inline) and its trie nodes,
-// about 2.4 per route.
+// v6 prefixes, seed 1). Decoding allocates nothing per route; routes,
+// paths, prefix states and trie nodes all come from chunks, and the origin
+// index takes the load's changes in one fold at the end, so the load
+// allocates per chunk: about 890 times, 0.007 per route. The budget, 0.02, trips if anything comes
+// back once per 50 routes.
 func TestLoadAllocsPerRoute(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSynth(&buf, SynthConfig{V4: 100_000, V6: 20_000, Seed: 1}); err != nil {
@@ -105,12 +106,12 @@ func TestLoadAllocsPerRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	perRoute := float64(after.Mallocs-before.Mallocs) / float64(st.Routes)
-	t.Logf("loaded %s: %.2f allocs/route, %.0f B/route", st, perRoute, float64(after.TotalAlloc-before.TotalAlloc)/float64(st.Routes))
+	t.Logf("loaded %s: %.4f allocs/route, %.0f B/route", st, perRoute, float64(after.TotalAlloc-before.TotalAlloc)/float64(st.Routes))
 	if st.Routes != 120_000 {
 		t.Fatalf("routes = %d", st.Routes)
 	}
-	if perRoute > 3 {
-		t.Fatalf("%.2f allocs/route, budget 3", perRoute)
+	if perRoute > 0.02 {
+		t.Fatalf("%.4f allocs/route, budget 0.02", perRoute)
 	}
 }
 

@@ -159,7 +159,8 @@ func refLoad(r io.Reader, t *Table) (LoadStats, error) {
 			}
 			if peer.AS != 0 {
 				t.mu.Lock()
-				t.insertLocked(&route.Route{Prefix: re.Prefix, Path: path, From: peer.AS, Rel: topo.Peer}, false)
+				old, best, changed := t.rt.Update(&route.Route{Prefix: re.Prefix, Path: path, From: peer.AS, Rel: topo.Peer})
+				t.noteBestChange(re.Prefix, old, best, changed, nil)
 				t.mu.Unlock()
 			}
 			st.Routes++

@@ -43,11 +43,19 @@ func (s LoadStats) String() string {
 // RIB entries are walked in the reader's buffer and only their AS paths
 // decoded, into one scratch slice; each route is then built once, its
 // path copied once, into table-owned chunks. An entry whose routes do not
-// all decode changes nothing, as if it had been decoded whole.
+// all decode changes nothing, as if it had been decoded whole. The origin
+// index takes the load's changes in one fold when the load ends, with or
+// without an error; until then OriginCounts and Snapshot's Origins do not
+// show them.
 func Load(r io.Reader, t *Table) (LoadStats, error) {
 	start := time.Now()
 	mr := mrt.NewReader(r)
 	l := loader{t: t}
+	defer func() {
+		t.mu.Lock()
+		l.origins.fold(t)
+		t.mu.Unlock()
+	}()
 	for {
 		rec, ent, err := mr.Scan()
 		if err == io.EOF {
@@ -70,14 +78,16 @@ func Load(r io.Reader, t *Table) (LoadStats, error) {
 }
 
 // loader is one Load's state. paths holds the current entry's AS paths
-// back to back; routes index into it.
+// back to back; routes index into it. origins logs the load's origin-index
+// changes until Load folds them.
 type loader struct {
-	t      *Table
-	peers  mrt.PeerResolver
-	st     LoadStats
-	paths  []bgp.ASN
-	routes []entryRoute
-	store  routeStore
+	t       *Table
+	peers   mrt.PeerResolver
+	st      LoadStats
+	paths   []bgp.ASN
+	routes  []entryRoute
+	store   routeStore
+	origins originLog
 }
 
 // entryRoute is one decoded route of a RIB entry: its peer index and
@@ -116,7 +126,8 @@ func (l *loader) entry(ent *mrt.RIBScan) error {
 			continue
 		}
 		if path := l.paths[rt.from:rt.to]; ribRoute(path, peer.AS) {
-			l.t.insertLocked(l.store.route(p, path, peer.AS), false)
+			old, best, changed := l.t.rt.Update(l.store.route(p, path, peer.AS))
+			l.t.noteBestChange(p, old, best, changed, &l.origins)
 		}
 		l.st.Routes++
 		if p.Is6() {

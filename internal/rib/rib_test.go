@@ -2,6 +2,8 @@ package rib
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"artemis/internal/bgp/mrt"
 	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/prefix"
+	"artemis/internal/route"
 )
 
 func announce(p string, vp bgp.ASN, path ...bgp.ASN) feedtypes.Event {
@@ -195,5 +198,78 @@ AS64501,OTHER-NET,DE
 	}
 	if _, err := ParseASNames([]byte("notanasn,X,Y\n")); err == nil {
 		t.Fatal("bad ASN accepted")
+	}
+}
+
+// checkOriginIndex compares the origin index with a from-scratch count
+// over every best route: OriginCounts for every origin either one knows,
+// Snapshot's Origins, and the index itself.
+func checkOriginIndex(t *testing.T, stage string, tb *Table) {
+	t.Helper()
+	want := make(map[bgp.ASN]originCount)
+	tb.rt.WalkBest(func(r *route.Route) bool {
+		oc := want[r.Origin(0)]
+		oc[famIdx(r.Prefix)]++
+		want[r.Origin(0)] = oc
+		return true
+	})
+	if len(want) < 100 {
+		t.Fatalf("%s: only %d origins; the table is too small to check", stage, len(want))
+	}
+	for asn, oc := range want {
+		if v4, v6 := tb.OriginCounts(asn); v4 != oc[0] || v6 != oc[1] {
+			t.Fatalf("%s: OriginCounts(%d) = %d, %d; the best routes hold %d, %d", stage, asn, v4, v6, oc[0], oc[1])
+		}
+	}
+	for asn := range tb.origins {
+		if _, ok := want[asn]; !ok {
+			v4, v6 := tb.OriginCounts(asn)
+			t.Fatalf("%s: OriginCounts(%d) = %d, %d; no best route has that origin", stage, asn, v4, v6)
+		}
+	}
+	if got := tb.Snapshot().Origins; got != len(want) {
+		t.Fatalf("%s: Snapshot().Origins = %d, the best routes have %d", stage, got, len(want))
+	}
+}
+
+// TestOriginIndexMatchesWalk holds the origin index, which a load folds
+// in once at its end and Apply keeps per event, to a count over the best
+// routes: after a load into an empty table, after a second load into the
+// full one (same prefixes, new routes, so best routes are replaced), and
+// through live announce and withdraw churn.
+func TestOriginIndexMatchesWalk(t *testing.T) {
+	tb := New()
+	for i, cfg := range []SynthConfig{
+		{V4: 3000, V6: 600, Peers: 6, RoutesPerPrefix: 2, Seed: 1},
+		{V4: 3000, V6: 600, Peers: 6, RoutesPerPrefix: 3, Seed: 2},
+	} {
+		var buf bytes.Buffer
+		if err := WriteSynth(&buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf, tb); err != nil {
+			t.Fatal(err)
+		}
+		checkOriginIndex(t, fmt.Sprintf("load %d", i+1), tb)
+	}
+
+	var resident []prefix.Prefix
+	tb.rt.WalkBest(func(r *route.Route) bool { resident = append(resident, r.Prefix); return true })
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		evs := make([]feedtypes.Event, 0, 64)
+		for range 64 {
+			p, vp := resident[rng.Intn(len(resident))], bgp.ASN(64500+rng.Intn(8))
+			if rng.Intn(2) == 0 {
+				evs = append(evs, feedtypes.Event{Kind: feedtypes.Withdraw, Prefix: p, VantagePoint: vp})
+				continue
+			}
+			path := []bgp.ASN{vp, bgp.ASN(1000 + rng.Intn(200))}
+			evs = append(evs, feedtypes.Event{Kind: feedtypes.Announce, Prefix: p, VantagePoint: vp, Path: path[:1+rng.Intn(2)]})
+		}
+		tb.Apply(evs)
+		if round%20 == 19 {
+			checkOriginIndex(t, fmt.Sprintf("churn round %d", round), tb)
+		}
 	}
 }

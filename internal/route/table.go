@@ -11,10 +11,18 @@ import (
 // selected best route, held in one radix trie that answers both exact and
 // longest-prefix-match queries. A prefix is in the trie exactly while it
 // has a candidate, so every stored state has a best route.
+//
+// States are carved from chunks the table owns, which grow geometrically
+// like the trie's node chunks; a state whose prefix loses its last
+// candidate goes on a free list for the next new prefix. State storage
+// stays at its high-water mark and is reused, never returned to the heap.
 type Table struct {
 	self   bgp.ASN
 	states *prefix.Trie[*prefixState]
 	routes int
+	chunk  []prefixState  // the current chunk's uncarved tail
+	free   []*prefixState // states of withdrawn prefixes
+	carved int            // states carved so far
 }
 
 // prefixState holds one prefix's candidates, at most one per neighbor.
@@ -57,6 +65,32 @@ func NewTable(self bgp.ASN) *Table {
 	return &Table{self: self, states: prefix.NewTrie[*prefixState]()}
 }
 
+// State chunk sizes: the first holds minChunk states, each next one as
+// many as were carved before it, up to maxChunk.
+const (
+	minChunk = 8
+	maxChunk = 1024
+)
+
+// newState returns an empty state: a freed one when there is one, else the
+// next of the current chunk.
+func (t *Table) newState() *prefixState {
+	var st *prefixState
+	if n := len(t.free); n > 0 {
+		st = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		if len(t.chunk) == 0 {
+			t.chunk = make([]prefixState, min(max(t.carved, minChunk), maxChunk))
+		}
+		st = &t.chunk[0]
+		t.chunk = t.chunk[1:]
+		t.carved++
+	}
+	st.cands = st.one[:0]
+	return st
+}
+
 // Self returns the owning ASN.
 func (t *Table) Self() bgp.ASN { return t.self }
 
@@ -74,8 +108,7 @@ func (t *Table) Update(r *Route) (old, best *Route, changed bool) {
 	ref, added := t.states.Ref(r.Prefix)
 	st := *ref
 	if added {
-		st = &prefixState{}
-		st.cands = st.one[:0]
+		st = t.newState()
 		*ref = st
 	}
 	old = st.best
@@ -116,10 +149,13 @@ func (t *Table) Withdraw(p prefix.Prefix, from bgp.ASN) (old, best *Route, chang
 	if old.From == from {
 		best = st.rescan()
 	}
+	old, best, changed = settle(st, old, best)
 	if len(st.cands) == 0 {
 		t.states.Delete(p)
+		*st = prefixState{}
+		t.free = append(t.free, st)
 	}
-	return settle(st, old, best)
+	return old, best, changed
 }
 
 // Originate installs a locally originated route for p.

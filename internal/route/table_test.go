@@ -317,3 +317,39 @@ func TestTableSelectionMatchesRescan(t *testing.T) {
 		}
 	}
 }
+
+// TestTableChurnReusesStates: under 10k random Update/Withdraw rounds over
+// nested v4 and v6 prefixes from four neighbors, every state the table
+// has carved holds a prefix or is on its free list, and it carves a new
+// one only when more prefixes are held than ever before.
+func TestTableChurnReusesStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var pool []prefix.Prefix
+	for i := range 32 {
+		pool = append(pool,
+			prefix.New(prefix.AddrFrom4(0x0a000000|uint32(i)<<16), 12+i%12),
+			prefix.New(prefix.AddrFrom16(0x20010db800000000|uint64(i)<<16, 0), 32+i%24))
+	}
+	tb := NewTable(42)
+	high := 0
+	for round := 0; round < 10_000; round++ {
+		p, from := pool[rng.Intn(len(pool))], bgp.ASN(1+rng.Intn(4))
+		if rng.Intn(2) == 0 {
+			tb.Update(&Route{Prefix: p, From: from, Rel: topo.Peer, Path: []bgp.ASN{from, 9}})
+		} else {
+			tb.Withdraw(p, from)
+		}
+		high = max(high, tb.Len())
+		if tb.Len()+len(tb.free) != tb.carved || tb.carved != high {
+			t.Fatalf("round %d: %d states held + %d free, %d carved, high-water mark %d", round, tb.Len(), len(tb.free), tb.carved, high)
+		}
+		for _, st := range tb.free {
+			if st.best != nil || len(st.cands) != 0 {
+				t.Fatalf("round %d: free state still holds routes", round)
+			}
+		}
+	}
+	if high < 32 {
+		t.Fatalf("churn too small to show reuse: high-water mark %d states", high)
+	}
+}

@@ -71,8 +71,8 @@ func (t *Table) AddROA(r ROA) {
 	if r.MaxLength < r.Prefix.Bits() {
 		r.MaxLength = r.Prefix.Bits()
 	}
-	existing, _ := t.trie.Get(r.Prefix)
-	t.trie.Insert(r.Prefix, append(existing, r))
+	roas, _ := t.trie.Ref(r.Prefix)
+	*roas = append(*roas, r)
 	t.n++
 }
 
