@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEventJSON -fuzztime=$(FUZZTIME) ./internal/feeds/eventlog
 	$(GO) test -run='^$$' -fuzz=FuzzRISMessage -fuzztime=$(FUZZTIME) ./internal/feeds/ris
 	$(GO) test -run='^$$' -fuzz=FuzzRIBLoad -fuzztime=$(FUZZTIME) ./internal/rib
+	$(GO) test -run='^$$' -fuzz=FuzzRIBApply -fuzztime=$(FUZZTIME) ./internal/rib
 	$(GO) test -run='^$$' -fuzz=FuzzROAParse -fuzztime=$(FUZZTIME) ./internal/rpki
 
 fmt:

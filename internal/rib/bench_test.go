@@ -11,7 +11,6 @@ import (
 	"artemis/internal/bgp"
 	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/prefix"
-	"artemis/internal/route"
 )
 
 // benchSnapshot is generated once per process: a 1/250-scale table keeps
@@ -66,13 +65,12 @@ func BenchmarkRIBApply(b *testing.B) {
 	if _, err := Load(bytes.NewReader(buf.Bytes()), t); err != nil {
 		b.Fatal(err)
 	}
-	var resident []*route.Route
-	t.rt.WalkBest(func(r *route.Route) bool { resident = append(resident, r); return true })
+	resident := bests(t)
 	const batch, n, vp = 7, 7 * 2048, bgp.ASN(64999)
 	evs := make([]feedtypes.Event, 0, 2*n)
 	for _, i := range rand.New(rand.NewSource(1)).Perm(len(resident))[:n] {
 		r := resident[i]
-		evs = append(evs, feedtypes.Event{Kind: feedtypes.Announce, VantagePoint: vp, Prefix: r.Prefix, Path: []bgp.ASN{vp, r.Origin(0)}})
+		evs = append(evs, feedtypes.Event{Kind: feedtypes.Announce, VantagePoint: vp, Prefix: r.prefix, Path: []bgp.ASN{vp, r.path[len(r.path)-1]}})
 	}
 	for i := range n {
 		evs = append(evs, feedtypes.Event{Kind: feedtypes.Withdraw, VantagePoint: vp, Prefix: evs[i].Prefix})
@@ -88,11 +86,12 @@ func BenchmarkRIBApply(b *testing.B) {
 
 // TestLoadAllocsPerRoute holds the bootstrap to its allocation budget on
 // a snapshot of the glass-mixed benchmark workload's shape (100k v4 + 20k
-// v6 prefixes, seed 1). Decoding allocates nothing per route; routes,
-// paths, prefix states and trie nodes all come from chunks, and the origin
+// v6 prefixes, seed 1). Decoding allocates nothing per route; prefix
+// states, AS paths and trie nodes all come from chunks, and the origin
 // index takes the load's changes in one fold at the end, so the load
-// allocates per chunk: about 890 times, 0.007 per route. The budget, 0.02, trips if anything comes
-// back once per 50 routes.
+// allocates per chunk and for the origin map's growth: about 750 times,
+// 0.0063 per route. The budget, 0.02, trips if anything comes back once
+// per 50 routes.
 func TestLoadAllocsPerRoute(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSynth(&buf, SynthConfig{V4: 100_000, V6: 20_000, Seed: 1}); err != nil {
@@ -115,17 +114,56 @@ func TestLoadAllocsPerRoute(t *testing.T) {
 	}
 }
 
+// loadBytesPerRoute is TestLoadBytesPerRoute's budget: the measured
+// 82.4-83.0 B/route plus 10%.
+const loadBytesPerRoute = 91
+
+// TestLoadBytesPerRoute holds the heap a loaded table retains to its
+// budget, on a snapshot of the glass-mixed benchmark workload's shape
+// (100k v4 + 20k v6 prefixes, seed 1): the live heap after a collection,
+// with the table loaded, less the live heap before it. The snapshot stays
+// live throughout, so it is not netted out.
+func TestLoadBytesPerRoute(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSynth(&buf, SynthConfig{V4: 100_000, V6: 20_000, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tb := New()
+	st, err := Load(bytes.NewReader(data), tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(data)
+	runtime.KeepAlive(tb)
+	perRoute := float64(after.HeapAlloc-before.HeapAlloc) / float64(st.Routes)
+	t.Logf("loaded %s: %.1f B/route retained", st, perRoute)
+	if perRoute > loadBytesPerRoute {
+		t.Fatalf("%.1f B/route retained, budget %d", perRoute, loadBytesPerRoute)
+	}
+}
+
+// fullBytesPerRoute is TestFullRIBLoadMeasured's budget, set on the
+// generated full-scale fixture: the measured 49 B/route plus 10%.
+const fullBytesPerRoute = 54
+
 // TestFullRIBLoadMeasured is the full-scale measurement behind
-// docs/PERFORMANCE.md: ~1M v4 + ~220k v6 routes through the streaming
-// bootstrap, reporting load time and resident heap. It allocates gigabyte-
-// scale state, so it only runs when asked for:
+// docs/PERFORMANCE.md: ~1M v4 + ~220k v6 prefixes, two routes each,
+// through the streaming bootstrap, reporting load time and the heap the
+// table retains, and failing above fullBytesPerRoute. It allocates
+// gigabyte-scale state, so it only runs when asked for:
 //
 //	ARTEMIS_RIB_FULL=1 go test ./internal/rib -run FullRIBLoad -v
 //
-// By default the snapshot is generated in memory; ARTEMIS_RIB_FIXTURE
-// names an on-disk MRT file to measure instead (`make rib-measure` wires
-// both up, so a real collector dump at the fixture path is measured
-// as-is).
+// By default the snapshot is generated in memory, with cmd/ribgen's
+// defaults; ARTEMIS_RIB_FIXTURE names an on-disk MRT file to measure
+// instead (`make rib-measure` wires both up, so a real collector dump at
+// the fixture path is measured as-is, against the same budget).
 func TestFullRIBLoadMeasured(t *testing.T) {
 	if os.Getenv("ARTEMIS_RIB_FULL") == "" {
 		t.Skip("set ARTEMIS_RIB_FULL=1 to run the full-table load measurement")
@@ -142,13 +180,15 @@ func TestFullRIBLoadMeasured(t *testing.T) {
 	} else {
 		var buf bytes.Buffer
 		gen := time.Now()
-		if err := WriteSynth(&buf, SynthConfig{V4: 1_000_000, V6: 220_000, Peers: 8, RoutesPerPrefix: 1, Seed: 1}); err != nil {
+		if err := WriteSynth(&buf, SynthConfig{V4: 1_000_000, V6: 220_000, Peers: 8, RoutesPerPrefix: 2, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 		data = buf.Bytes()
 		t.Logf("generated %d MiB snapshot in %v", len(data)>>20, time.Since(gen).Round(time.Millisecond))
 	}
 
+	// The snapshot stays live until the second reading, so the difference
+	// is the table alone.
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -159,9 +199,14 @@ func TestFullRIBLoadMeasured(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(data)
 	resident := after.HeapAlloc - before.HeapAlloc
+	perRoute := float64(resident) / float64(st.Routes)
 	t.Logf("loaded %s", st)
-	t.Logf("resident table heap: %d MiB (%0.f B/route)", resident>>20, float64(resident)/float64(st.Routes))
+	t.Logf("resident table heap: %d MiB (%.0f B/route)", resident>>20, perRoute)
+	if perRoute > fullBytesPerRoute {
+		t.Errorf("%.1f B/route retained, budget %d", perRoute, fullBytesPerRoute)
+	}
 	if !synthetic {
 		t.Logf("table: %+v", tb.Snapshot())
 		return
@@ -172,10 +217,10 @@ func TestFullRIBLoadMeasured(t *testing.T) {
 	}
 	// The generator's first /24 and /48 sit at the base of each family's
 	// space, so these addresses are certainly covered.
-	if _, ok := tb.Resolve(prefix.MustParseAddr("0.0.0.1")); !ok {
-		t.Fatal("post-load v4 resolve failed")
+	if _, ok := tb.Lookup(prefix.MustParse("0.0.0.1/32")); !ok {
+		t.Fatal("post-load v4 lookup failed")
 	}
-	if _, ok := tb.Resolve(prefix.MustParseAddr("2000::1")); !ok {
-		t.Fatal("post-load v6 resolve failed")
+	if _, ok := tb.Lookup(prefix.MustParse("2000::1/128")); !ok {
+		t.Fatal("post-load v6 lookup failed")
 	}
 }

@@ -12,9 +12,8 @@ import (
 
 	"artemis/internal/bgp"
 	"artemis/internal/bgp/mrt"
+	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/prefix"
-	"artemis/internal/route"
-	"artemis/internal/topo"
 )
 
 // The reference below is the bootstrap as it was before the streaming
@@ -125,8 +124,9 @@ func refParseAttrsViaUpdate(attrBytes []byte) ([]bgp.PathAttr, error) {
 	return m.(*bgp.Update).Attrs, nil
 }
 
-// refLoad is the reference bootstrap over refReader.
-func refLoad(r io.Reader, t *Table) (LoadStats, error) {
+// refLoad is the reference bootstrap over refReader, into the reference
+// table.
+func refLoad(r io.Reader, t *refTable) (LoadStats, error) {
 	start := time.Now()
 	mr := &refReader{r: r}
 	var peers mrt.PeerResolver
@@ -158,10 +158,7 @@ func refLoad(r io.Reader, t *Table) (LoadStats, error) {
 				continue
 			}
 			if peer.AS != 0 {
-				t.mu.Lock()
-				old, best, changed := t.rt.Update(&route.Route{Prefix: re.Prefix, Path: path, From: peer.AS, Rel: topo.Peer})
-				t.noteBestChange(re.Prefix, old, best, changed, nil)
-				t.mu.Unlock()
+				t.update(re.Prefix, peer.AS, path)
 			}
 			st.Routes++
 			if re.Prefix.Is6() {
@@ -176,15 +173,6 @@ func refLoad(r io.Reader, t *Table) (LoadStats, error) {
 	return st, nil
 }
 
-func bestRoutes(t *Table) []route.Route {
-	var out []route.Route
-	t.rt.WalkBest(func(r *route.Route) bool {
-		out = append(out, *r)
-		return true
-	})
-	return out
-}
-
 // FuzzRIBLoad checks the streaming bootstrap against the reference: the
 // same error or none, the same LoadStats, table indices and best route
 // for every prefix; and mrt.Reader.Next yields records DeepEqual to the
@@ -194,7 +182,7 @@ func FuzzRIBLoad(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, want := New(), New()
+		got, want := New(), newRef()
 		gst, gerr := Load(bytes.NewReader(data), got)
 		wst, werr := refLoad(bytes.NewReader(data), want)
 		if (gerr == nil) != (werr == nil) {
@@ -204,16 +192,13 @@ func FuzzRIBLoad(f *testing.F) {
 		if gst != wst {
 			t.Fatalf("LoadStats %+v, reference %+v", gst, wst)
 		}
-		if g, w := got.Snapshot(), want.Snapshot(); g != w {
+		if g, w := got.Snapshot(), want.snapshot(); g != w {
 			t.Fatalf("table stats %+v, reference %+v", g, w)
 		}
 		if !reflect.DeepEqual(got.origins, want.origins) {
 			t.Fatalf("origin index %v, reference %v", got.origins, want.origins)
 		}
-		gb, wb := bestRoutes(got), bestRoutes(want)
-		if !slices.EqualFunc(gb, wb, func(a, b route.Route) bool {
-			return a.Prefix == b.Prefix && a.From == b.From && a.Rel == b.Rel && slices.Equal(a.Path, b.Path)
-		}) {
+		if gb, wb := bests(got), want.bests(); !sameBests(gb, wb) {
 			t.Fatalf("best routes %v, reference %v", gb, wb)
 		}
 
@@ -356,4 +341,122 @@ func ribFuzzSeeds(f *testing.F) [][]byte {
 		// An attribute block longer than one BGP message holds.
 		stream(rib("10.7.0.0/24", rt{0, bytes.Join([][]byte{origin, path(segment(bgp.SegSequence, 1)), nextHop, attr(0xd0, 99, make([]byte, 4100))}, nil)})),
 	}
+}
+
+// applyAlphabet is FuzzRIBApply's prefix alphabet: nested and sibling
+// prefixes of both families, some of them resident in the small snapshot
+// the fuzzer may load first (WriteSynth starts each mask at its family's
+// base).
+var applyAlphabet = []prefix.Prefix{
+	prefix.MustParse("0.0.0.0/24"), prefix.MustParse("0.0.1.0/24"),
+	prefix.MustParse("0.0.0.0/22"), prefix.MustParse("0.0.0.0/16"),
+	prefix.MustParse("10.0.0.0/8"), prefix.MustParse("0.0.0.0/0"),
+	prefix.MustParse("2000::/48"), prefix.MustParse("2000::/32"),
+}
+
+// decodeApply turns fuzz input into batches of feed events. Each event
+// takes one byte: its low two bits pick announce, withdraw, re-announce
+// (the vantage point's last path for the prefix again) or end of batch,
+// the next three a prefix and the top three a vantage point (0 is not
+// one, so its announcements are dropped). An announcement's next byte
+// gives a path of up to 7 ASNs, each drawn from 0..7 by the bytes after.
+func decodeApply(data []byte) [][]feedtypes.Event {
+	var out [][]feedtypes.Event
+	var batch []feedtypes.Event
+	last := make(map[[2]uint64][]bgp.ASN)
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		p := applyAlphabet[b>>2&7]
+		vp := bgp.ASN(0)
+		if k := b >> 5; k > 0 {
+			vp = 64500 + bgp.ASN(k-1)
+		}
+		key := [2]uint64{uint64(b >> 2 & 7), uint64(vp)}
+		ev := feedtypes.Event{Kind: feedtypes.Announce, Prefix: p, VantagePoint: vp}
+		switch b & 3 {
+		case 0:
+			n := 0
+			if len(data) > 0 {
+				n, data = int(data[0]&7), data[1:]
+			}
+			for ; n > 0 && len(data) > 0; n-- {
+				ev.Path, data = append(ev.Path, bgp.ASN(data[0]&7)), data[1:]
+			}
+			last[key] = ev.Path
+		case 1:
+			ev.Kind = feedtypes.Withdraw
+		case 2:
+			ev.Path = last[key]
+		case 3:
+			out, batch = append(out, batch), nil
+			continue
+		}
+		batch = append(batch, ev)
+	}
+	return append(out, batch)
+}
+
+// FuzzRIBApply holds live Apply, after an optional small bootstrap, to
+// the reference table: after every batch the same best route for every
+// prefix, the same Lookup answers for the alphabet and for host prefixes
+// inside it, the same origin index and OriginCounts, and the same
+// Snapshot.
+func FuzzRIBApply(f *testing.F) {
+	f.Add(false, []byte{})
+	// The best replaced by a longer path from its own vantage point: the
+	// other candidate takes over.
+	f.Add(false, []byte{0x20, 1, 3, 0x40, 2, 1, 3, 0x20, 3, 5, 4, 3})
+	f.Add(true, []byte{0x20, 2, 1, 3, 0x40, 1, 3, 0x21, 0x03, 0x42, 0x40, 3, 5, 4, 3})
+	f.Add(true, []byte{0x24, 1, 2, 0x44, 2, 6, 2, 0x64, 0, 0x03, 0x25, 0x45, 0x66, 0x65})
+	f.Add(false, []byte{0x38, 3, 1, 2, 7, 0x58, 1, 7, 0x78, 4, 1, 1, 1, 7, 0x39, 0x03, 0x59, 0x7a, 0xfa, 0xf8, 2, 0, 1})
+	var snap bytes.Buffer
+	if err := WriteSynth(&snap, SynthConfig{V4: 40, V6: 10, Peers: 3, RoutesPerPrefix: 2, Seed: 3}); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, load bool, data []byte) {
+		got, want := New(), newRef()
+		if load {
+			if _, err := Load(bytes.NewReader(snap.Bytes()), got); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := refLoad(bytes.NewReader(snap.Bytes()), want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var queries []prefix.Prefix
+		for _, p := range applyAlphabet {
+			queries = append(queries, p, prefix.New(p.Addr(), p.MaxBits()))
+		}
+		for i, batch := range decodeApply(data) {
+			got.Apply(batch)
+			want.apply(batch)
+			if gb, wb := bests(got), want.bests(); !sameBests(gb, wb) {
+				t.Fatalf("batch %d: best routes %v, reference %v", i, gb, wb)
+			}
+			for _, q := range queries {
+				g, gok := got.Lookup(q)
+				w, wok := want.lookup(q)
+				if gok != wok || g.Matched != w.Matched || g.VantagePoint != w.VantagePoint || g.Origin != w.Origin ||
+					g.Candidates != w.Candidates || !slices.Equal(g.Path, w.Path) {
+					t.Fatalf("batch %d: Lookup(%s) = %+v, %v; reference %+v, %v", i, q, g, gok, w, wok)
+				}
+			}
+			if !reflect.DeepEqual(got.origins, want.origins) {
+				t.Fatalf("batch %d: origin index %v, reference %v", i, got.origins, want.origins)
+			}
+			for asn := range bgp.ASN(8) {
+				w := want.origins[asn]
+				if v4, v6 := got.OriginCounts(asn); v4 != int64(w[0]) || v6 != int64(w[1]) {
+					t.Fatalf("batch %d: OriginCounts(%d) = %d, %d; reference %d, %d", i, asn, v4, v6, w[0], w[1])
+				}
+			}
+			if g, w := got.Snapshot(), want.snapshot(); g != w {
+				t.Fatalf("batch %d: Snapshot %+v, reference %+v", i, g, w)
+			}
+			if got.Len() != want.rt.Len() {
+				t.Fatalf("batch %d: Len %d, reference %d", i, got.Len(), want.rt.Len())
+			}
+		}
+	})
 }

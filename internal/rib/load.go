@@ -9,9 +9,6 @@ import (
 
 	"artemis/internal/bgp"
 	"artemis/internal/bgp/mrt"
-	"artemis/internal/prefix"
-	"artemis/internal/route"
-	"artemis/internal/topo"
 )
 
 // LoadStats describes one bootstrap load.
@@ -41,8 +38,8 @@ func (s LoadStats) String() string {
 // the AS path. BGP4MP records interleaved in the stream are ignored.
 //
 // RIB entries are walked in the reader's buffer and only their AS paths
-// decoded, into one scratch slice; each route is then built once, its
-// path copied once, into table-owned chunks. An entry whose routes do not
+// decoded, into one scratch slice; each route's path is then copied once,
+// into the table's path arena. An entry whose routes do not
 // all decode changes nothing, as if it had been decoded whole. The origin
 // index takes the load's changes in one fold when the load ends, with or
 // without an error; until then OriginCounts and Snapshot's Origins do not
@@ -86,7 +83,6 @@ type loader struct {
 	st      LoadStats
 	paths   []bgp.ASN
 	routes  []entryRoute
-	store   routeStore
 	origins originLog
 }
 
@@ -126,8 +122,7 @@ func (l *loader) entry(ent *mrt.RIBScan) error {
 			continue
 		}
 		if path := l.paths[rt.from:rt.to]; ribRoute(path, peer.AS) {
-			old, best, changed := l.t.rt.Update(l.store.route(p, path, peer.AS))
-			l.t.noteBestChange(p, old, best, changed, &l.origins)
+			l.t.noteBestChange(p, l.t.update(p, peer.AS, path), &l.origins)
 		}
 		l.st.Routes++
 		if p.Is6() {
@@ -137,37 +132,6 @@ func (l *loader) entry(ent *mrt.RIBScan) error {
 		}
 	}
 	return nil
-}
-
-// routeStore hands out the table-owned routes and paths of one load,
-// carved from shared chunks: a bootstrap allocates per chunk, not per
-// route. A chunk lives until every route carved from it has been replaced
-// or withdrawn, so bootstrap storage is released a chunk at a time and
-// never grows after the load.
-type routeStore struct {
-	paths  []bgp.ASN
-	routes []route.Route
-}
-
-const (
-	pathChunk  = 8192 // ASNs
-	routeChunk = 1024
-)
-
-// route returns a table-owned copy of the route (p, path, from).
-func (s *routeStore) route(p prefix.Prefix, path []bgp.ASN, from bgp.ASN) *route.Route {
-	if cap(s.paths)-len(s.paths) < len(path) {
-		s.paths = make([]bgp.ASN, 0, max(pathChunk, len(path)))
-	}
-	n := len(s.paths)
-	s.paths = append(s.paths, path...)
-	if len(s.routes) == 0 {
-		s.routes = make([]route.Route, routeChunk)
-	}
-	r := &s.routes[0]
-	s.routes = s.routes[1:]
-	*r = route.Route{Prefix: p, Path: s.paths[n:len(s.paths):len(s.paths)], From: from, Rel: topo.Peer}
-	return r
 }
 
 // LoadFile streams the MRT snapshot at path into t.

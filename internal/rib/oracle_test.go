@@ -81,8 +81,9 @@ func (n *naiveTable) resolveBestFor(q prefix.Prefix) *route.Route {
 }
 
 // TestLoaderOracle loads a randomized mixed-family snapshot through the
-// streaming bootstrap and checks Resolve/ResolveBestFor against a naive
-// linear scan over the same records, for random addresses and prefixes.
+// streaming bootstrap and checks Lookup, for host prefixes and for
+// prefixes, against a naive linear scan over the same records, for random
+// addresses and prefixes.
 func TestLoaderOracle(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := SynthConfig{V4: 1500, V6: 400, Peers: 6, RoutesPerPrefix: 3, Seed: 42}
@@ -129,12 +130,12 @@ func TestLoaderOracle(t *testing.T) {
 		}
 	}
 
-	sameRoute := func(a, b *route.Route) bool {
-		if a == nil || b == nil {
-			return a == nil && b == nil
+	sameRoute := func(got LookupResult, ok bool, want *route.Route) bool {
+		if !ok || want == nil {
+			return !ok && want == nil
 		}
-		// The oracle doesn't model Rel; compare selection-relevant content.
-		return a.Prefix == b.Prefix && a.From == b.From && slices.Equal(a.Path, b.Path)
+		return got.Matched == want.Prefix && got.VantagePoint == want.From && slices.Equal(got.Path, want.Path) &&
+			got.Origin == want.Origin(0) && got.Candidates == len(oracle.cands[want.Prefix])
 	}
 
 	rnd := rand.New(rand.NewSource(99))
@@ -155,12 +156,9 @@ func TestLoaderOracle(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		addr := queryAddr(i)
 		want := oracle.resolve(addr)
-		got, ok := tb.Resolve(addr)
-		if !ok {
-			got = nil
-		}
-		if !sameRoute(got, want) {
-			t.Fatalf("Resolve(%s): got %v, want %v", addr, got, want)
+		q := prefix.New(addr, addr.MaxBits())
+		if got, ok := tb.Lookup(q); !sameRoute(got, ok, want) {
+			t.Fatalf("Lookup(%s): got %+v, want %v", q, got, want)
 		}
 	}
 	for i := 0; i < 4000; i++ {
@@ -171,12 +169,8 @@ func TestLoaderOracle(t *testing.T) {
 		}
 		q := prefix.New(base.Addr(), bits)
 		want := oracle.resolveBestFor(q)
-		got, ok := tb.ResolveBestFor(q)
-		if !ok {
-			got = nil
-		}
-		if !sameRoute(got, want) {
-			t.Fatalf("ResolveBestFor(%s): got %v, want %v", q, got, want)
+		if got, ok := tb.Lookup(q); !sameRoute(got, ok, want) {
+			t.Fatalf("Lookup(%s): got %+v, want %v", q, got, want)
 		}
 	}
 }

@@ -21,18 +21,16 @@ import (
 	"artemis/internal/bgp"
 	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/prefix"
-	"artemis/internal/route"
-	"artemis/internal/topo"
 )
 
 // Table is a concurrency-safe full routing table with incremental
 // route-intelligence indices. Candidate routes are keyed by vantage point
-// (the collector peer that exported them); best-route selection reuses the
-// route package's decision process, where all peers rank equal (topo.Peer)
-// so shortest path wins with a deterministic tiebreak.
+// (the collector peer that exported them); best-route selection follows
+// the route package's decision process for peer routes, where all peers
+// rank equal so shortest path wins with a deterministic tiebreak.
 type Table struct {
 	mu sync.RWMutex
-	rt *route.Table
+	store
 	// origins counts, per origin AS, how many best routes it originates.
 	origins map[bgp.ASN]originCount
 	// masks is the per-mask histogram of resident best prefixes:
@@ -44,13 +42,15 @@ type Table struct {
 	withdraws [2]int64
 }
 
-// originCount is one origin's best-route count per family (v4, v6).
-type originCount [2]int64
+// originCount is one origin's best-route count per family (v4, v6). A
+// count is at most the family's resident prefixes, so 32 bits hold it
+// and a map slot takes 12 bytes.
+type originCount [2]int32
 
 // New returns an empty table.
 func New() *Table {
 	return &Table{
-		rt:      route.NewTable(0),
+		store:   newStore(),
 		origins: make(map[bgp.ASN]originCount),
 	}
 }
@@ -70,22 +70,22 @@ func ribRoute(path []bgp.ASN, from bgp.ASN) bool { return len(path) > 0 && from 
 // transition. With a non-nil log the origin changes are logged there, to be
 // folded into the origin index later (originLog.fold). Caller holds the
 // write lock.
-func (t *Table) noteBestChange(p prefix.Prefix, old, best *route.Route, changed bool, log *originLog) {
-	if !changed {
+func (t *Table) noteBestChange(p prefix.Prefix, c change, log *originLog) {
+	fam := famIdx(p)
+	if c.had && c.has {
+		if c.old != c.new {
+			t.bumpOrigin(c.old, fam, -1, log)
+			t.bumpOrigin(c.new, fam, +1, log)
+		}
 		return
 	}
-	fam := famIdx(p)
-	if old != nil {
-		t.bumpOrigin(old.Origin(0), fam, -1, log)
-	}
-	if best != nil {
-		t.bumpOrigin(best.Origin(0), fam, +1, log)
-	}
-	switch {
-	case old == nil && best != nil:
-		t.masks[fam][p.Bits()]++
-	case old != nil && best == nil:
+	if c.had {
+		t.bumpOrigin(c.old, fam, -1, log)
 		t.masks[fam][p.Bits()]--
+	}
+	if c.has {
+		t.bumpOrigin(c.new, fam, +1, log)
+		t.masks[fam][p.Bits()]++
 	}
 }
 
@@ -98,7 +98,7 @@ func (t *Table) bumpOrigin(asn bgp.ASN, fam int, delta int64, log *originLog) {
 		return
 	}
 	var d originCount
-	d[fam] = delta
+	d[fam] = int32(delta)
 	t.addOrigin(asn, d)
 }
 
@@ -143,7 +143,7 @@ func (l originLog) fold(t *Table) {
 		asn := bgp.ASN(log[i] >> 2)
 		var d originCount
 		for ; i < len(log) && bgp.ASN(log[i]>>2) == asn; i++ {
-			d[log[i]>>1&1] += 1 - 2*int64(log[i]&1)
+			d[log[i]>>1&1] += 1 - 2*int32(log[i]&1)
 		}
 		t.addOrigin(asn, d)
 	}
@@ -180,43 +180,26 @@ func radixSort(keys, tmp []uint64) []uint64 {
 
 // Apply folds a batch of live feed events into the table under one write
 // lock, counting table movement. Event storage is pooled (feedtypes batch
-// contract), so retained paths are deep-copied here.
+// contract), so retained paths are copied into the table's path arena.
 func (t *Table) Apply(evs []feedtypes.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range evs {
 		ev := &evs[i]
-		var old, best *route.Route
-		var changed bool
+		var c change
 		switch ev.Kind {
 		case feedtypes.Announce:
 			if !ribRoute(ev.Path, ev.VantagePoint) {
 				continue
 			}
 			t.announces[famIdx(ev.Prefix)]++
-			old, best, changed = t.rt.Update(&route.Route{Prefix: ev.Prefix, Path: slices.Clone(ev.Path), From: ev.VantagePoint, Rel: topo.Peer})
+			c = t.update(ev.Prefix, ev.VantagePoint, ev.Path)
 		case feedtypes.Withdraw:
 			t.withdraws[famIdx(ev.Prefix)]++
-			old, best, changed = t.rt.Withdraw(ev.Prefix, ev.VantagePoint)
+			c = t.withdraw(ev.Prefix, ev.VantagePoint)
 		}
-		t.noteBestChange(ev.Prefix, old, best, changed, nil)
+		t.noteBestChange(ev.Prefix, c, nil)
 	}
-}
-
-// Resolve performs longest-prefix-match forwarding for addr. The returned
-// route is immutable once installed and safe to read without the lock.
-func (t *Table) Resolve(addr prefix.Addr) (*route.Route, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rt.Resolve(addr)
-}
-
-// ResolveBestFor returns the best route of the most specific resident
-// prefix containing p (or p itself).
-func (t *Table) ResolveBestFor(p prefix.Prefix) (*route.Route, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.rt.ResolveBestFor(p)
 }
 
 // LookupResult answers a glass-style prefix query.
@@ -237,16 +220,17 @@ type LookupResult struct {
 func (t *Table) Lookup(p prefix.Prefix) (LookupResult, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	r, ok := t.rt.ResolveBestFor(p)
+	matched, i, ok := t.prefixes.LongestMatchPrefix(p)
 	if !ok {
 		return LookupResult{}, false
 	}
+	st := t.state(i)
 	return LookupResult{
-		Matched:      r.Prefix,
-		VantagePoint: r.From,
-		Path:         slices.Clone(r.Path),
-		Origin:       r.Origin(0),
-		Candidates:   t.rt.NumCandidates(r.Prefix),
+		Matched:      matched,
+		VantagePoint: st.best.vp,
+		Path:         slices.Clone(t.path(st.best)),
+		Origin:       t.origin(st.best),
+		Candidates:   1 + int(st.n),
 	}, true
 }
 
@@ -257,14 +241,14 @@ func (t *Table) OriginCounts(asn bgp.ASN) (v4, v6 int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	oc := t.origins[asn]
-	return oc[0], oc[1]
+	return int64(oc[0]), int64(oc[1])
 }
 
 // Len returns the number of resident prefixes with at least one candidate.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rt.Len()
+	return t.prefixes.Len()
 }
 
 // Stats is a point-in-time snapshot of the table's size and movement.
@@ -292,7 +276,7 @@ func (t *Table) Snapshot() Stats {
 		s.MasksV6[b] = t.masks[1][b]
 		s.PrefixesV6 += t.masks[1][b]
 	}
-	s.Routes = int64(t.rt.Routes())
+	s.Routes = int64(t.routes)
 	s.Origins = len(t.origins)
 	s.AnnouncesV4, s.AnnouncesV6 = t.announces[0], t.announces[1]
 	s.WithdrawsV4, s.WithdrawsV6 = t.withdraws[0], t.withdraws[1]

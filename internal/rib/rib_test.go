@@ -11,7 +11,6 @@ import (
 	"artemis/internal/bgp/mrt"
 	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/prefix"
-	"artemis/internal/route"
 )
 
 func announce(p string, vp bgp.ASN, path ...bgp.ASN) feedtypes.Event {
@@ -85,9 +84,9 @@ func TestApplyCopiesPooledPaths(t *testing.T) {
 	path := []bgp.ASN{64500, 100, 666}
 	tb.Apply([]feedtypes.Event{announce("10.0.0.0/24", 64500, path...)})
 	path[2] = 999 // the pool reuses event storage after delivery
-	r, ok := tb.Resolve(prefix.MustParseAddr("10.0.0.1"))
-	if !ok || r.Origin(0) != 666 {
-		t.Fatalf("retained path aliases pooled storage: %v", r)
+	r, ok := tb.Lookup(prefix.MustParse("10.0.0.1/32"))
+	if !ok || r.Origin != 666 || r.Path[2] != 666 {
+		t.Fatalf("retained path aliases pooled storage: %+v", r)
 	}
 }
 
@@ -202,17 +201,17 @@ AS64501,OTHER-NET,DE
 }
 
 // checkOriginIndex compares the origin index with a from-scratch count
-// over every best route: OriginCounts for every origin either one knows,
-// Snapshot's Origins, and the index itself.
+// over every best route the table's trie reaches: OriginCounts for every
+// origin either one knows, Snapshot's Origins, and the index itself.
 func checkOriginIndex(t *testing.T, stage string, tb *Table) {
 	t.Helper()
-	want := make(map[bgp.ASN]originCount)
-	tb.rt.WalkBest(func(r *route.Route) bool {
-		oc := want[r.Origin(0)]
-		oc[famIdx(r.Prefix)]++
-		want[r.Origin(0)] = oc
-		return true
-	})
+	want := make(map[bgp.ASN][2]int64)
+	for _, b := range bests(tb) {
+		origin := b.path[len(b.path)-1]
+		oc := want[origin]
+		oc[famIdx(b.prefix)]++
+		want[origin] = oc
+	}
 	if len(want) < 100 {
 		t.Fatalf("%s: only %d origins; the table is too small to check", stage, len(want))
 	}
@@ -254,7 +253,9 @@ func TestOriginIndexMatchesWalk(t *testing.T) {
 	}
 
 	var resident []prefix.Prefix
-	tb.rt.WalkBest(func(r *route.Route) bool { resident = append(resident, r.Prefix); return true })
+	for _, b := range bests(tb) {
+		resident = append(resident, b.prefix)
+	}
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {
 		evs := make([]feedtypes.Event, 0, 64)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -56,8 +57,12 @@ func refParse(data []byte) (*Table, error) {
 // in the order they were added.
 func roaList(t *Table) []ROA {
 	var out []ROA
-	t.trie.Walk(func(_ prefix.Prefix, roas []ROA) bool {
-		out = append(out, roas...)
+	t.trie.Walk(func(p prefix.Prefix, head uint32) bool {
+		n := len(out)
+		for i := head; i != 0; i = t.roas[i-1].next {
+			out = append(out, ROA{Prefix: p, ASN: t.roas[i-1].asn, MaxLength: t.roas[i-1].maxLength})
+		}
+		slices.Reverse(out[n:])
 		return true
 	})
 	return out

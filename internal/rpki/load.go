@@ -59,6 +59,7 @@ func Parse(data []byte) (*Table, error) {
 		return nil, fmt.Errorf("rpki: parse export: %w", err)
 	}
 	t := NewTable()
+	t.roas = make([]roaEntry, 0, len(roas))
 	for i, r := range roas {
 		if !r.ok {
 			if r.err == nil {

@@ -52,17 +52,30 @@ type ROA struct {
 // Table holds ROAs indexed for covering-prefix search. Build it once
 // (AddROA during construction), then treat it as immutable: concurrent
 // readers share it without locking, and a refresh swaps in a new table.
+//
+// The ROAs sit in one flat array, chained per prefix: the trie maps a
+// prefix to its newest ROA, and each ROA names the one added before it,
+// so a prefix costs no allocation of its own.
 type Table struct {
-	trie *prefix.Trie[[]ROA]
-	n    int
+	trie *prefix.Trie[uint32]
+	roas []roaEntry
 	// verdict counters, by Validity index; atomics so the immutable table
 	// can still account for its use on concurrent hot paths.
 	verdicts [3]atomic.Int64
 }
 
+// roaEntry is one ROA of a chain: its origin and maximum length, and the
+// previous ROA of its prefix plus one (0 ends the chain). Chain heads in
+// the trie are likewise an index plus one.
+type roaEntry struct {
+	asn       bgp.ASN
+	next      uint32
+	maxLength int
+}
+
 // NewTable returns an empty ROA table.
 func NewTable() *Table {
-	return &Table{trie: prefix.NewTrie[[]ROA]()}
+	return &Table{trie: prefix.NewTrie[uint32]()}
 }
 
 // AddROA inserts one payload. A MaxLength below the prefix length (or
@@ -71,9 +84,9 @@ func (t *Table) AddROA(r ROA) {
 	if r.MaxLength < r.Prefix.Bits() {
 		r.MaxLength = r.Prefix.Bits()
 	}
-	roas, _ := t.trie.Ref(r.Prefix)
-	*roas = append(*roas, r)
-	t.n++
+	head, _ := t.trie.Ref(r.Prefix)
+	t.roas = append(t.roas, roaEntry{asn: r.ASN, next: *head, maxLength: r.MaxLength})
+	*head = uint32(len(t.roas))
 }
 
 // Len returns the number of ROAs in the table.
@@ -81,7 +94,7 @@ func (t *Table) Len() int {
 	if t == nil {
 		return 0
 	}
-	return t.n
+	return len(t.roas)
 }
 
 // Validate renders the RFC 6811 verdict for origin announcing p. A nil
@@ -91,11 +104,11 @@ func (t *Table) Validate(p prefix.Prefix, origin bgp.ASN) Validity {
 		return NotFound
 	}
 	v := NotFound
-	t.trie.Supernets(p, func(_ prefix.Prefix, roas []ROA) bool {
-		for _, roa := range roas {
+	t.trie.Supernets(p, func(_ prefix.Prefix, head uint32) bool {
+		for i := head; i != 0; i = t.roas[i-1].next {
 			// Supernets already guarantees coverage of p's address bits.
 			v = Invalid
-			if roa.ASN == origin && p.Bits() <= roa.MaxLength {
+			if roa := &t.roas[i-1]; roa.asn == origin && p.Bits() <= roa.maxLength {
 				v = Valid
 				return false
 			}
