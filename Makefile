@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-e2e soak fuzz fmt vet examples ci rib-fixture rib-measure fleet fleet-smoke fleet-corpus golden
+.PHONY: build test race bench bench-e2e soak fuzz fmt vet loc examples ci rib-fixture rib-measure fleet fleet-smoke fleet-corpus golden
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# Non-test Go line counts against the committed bounds in loc.gates.
+loc:
+	$(GO) run ./cmd/benchdiff -loc loc.gates
+
 # Build every example/command, run the public-API Example tests and run
 # live-feeds end to end over real sockets (about 4 s; it exits non-zero
 # unless the hijack is detected and mitigated) — the same gate CI's
@@ -105,4 +109,4 @@ examples:
 	$(GO) test -run Example -v ./pkg/...
 	$(GO) run ./examples/live-feeds
 
-ci: fmt build vet race examples
+ci: fmt build vet loc race examples

@@ -15,6 +15,12 @@
 //
 // Setting BENCHDIFF_SKIP_GATES=1 downgrades gate violations to warnings
 // (see docs/PERFORMANCE.md for when that is acceptable).
+//
+// -loc checks the tree's non-test Go line counts, from the repository
+// root, against a gates file of `<dir> lines <= N` bounds (loc.gates); a
+// bound with more than 50 lines of slack fails as well:
+//
+//	go run ./cmd/benchdiff -loc loc.gates
 package main
 
 import (
@@ -163,12 +169,27 @@ func enforce(gates []gate, m metrics) int {
 func main() {
 	gatesPath := flag.String("gates", "", "path to a committed thresholds file; violations in the new file fail the run")
 	check := flag.Bool("check", false, "gate a single bench file (no old/new diff)")
+	locPath := flag.String("loc", "", "path to a line-count gates file; checks the tree under the working directory")
 	flag.Parse()
 	args := flag.Args()
+
+	if *locPath != "" {
+		n, err := checkLOC(*locPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchdiff:", err)
+			os.Exit(1)
+		}
+		if n > 0 {
+			fmt.Fprintf(os.Stderr, "benchdiff: %d line-count gate violation(s); raise or lower the bound in loc.gates and say why in CHANGES.md\n", n)
+			os.Exit(1)
+		}
+		return
+	}
 
 	usage := func() {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-gates file] <old.txt> <new.txt>")
 		fmt.Fprintln(os.Stderr, "       benchdiff -gates file -check <new.txt>")
+		fmt.Fprintln(os.Stderr, "       benchdiff -loc loc.gates")
 		os.Exit(2)
 	}
 

@@ -70,8 +70,9 @@ func youtubeConfig(src artemis.SourceSpec) *artemis.Config {
 
 func runIncident(t *testing.T, cfg *artemis.Config, drive func(node *artemis.Node)) ([]artemis.Alert, []artemis.Mitigation) {
 	t.Helper()
+	inj := &recordingInjector{}
 	node, err := artemis.New(cfg,
-		artemis.WithRouteInjector(&recordingInjector{}),
+		artemis.WithRouteInjector(inj),
 		artemis.WithLogf(func(string, ...any) {}))
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +83,18 @@ func runIncident(t *testing.T, cfg *artemis.Config, drive func(node *artemis.Nod
 	drive(node)
 	wait(t, "alert and mitigation", func() bool {
 		return len(node.Alerts()) >= 1 && len(node.Mitigations()) >= 1
+	})
+	// Stop only once the southbound has every announcement the
+	// mitigations name: Drain fails requests not yet due, and such a
+	// failure would mark the record failed in one run and not the other.
+	wait(t, "announcements sent", func() bool {
+		want := 0
+		for _, m := range node.Mitigations() {
+			want += len(m.Announced)
+		}
+		inj.mu.Lock()
+		defer inj.mu.Unlock()
+		return len(inj.announced) == want
 	})
 	cancel()
 	select {

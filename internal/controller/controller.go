@@ -58,8 +58,10 @@ type Action struct {
 // Failed reports whether the southbound rejected the operation.
 func (a Action) Failed() bool { return a.Err != nil }
 
-// Controller schedules route changes onto a southbound injector after a
-// configuration delay.
+// Controller is the model controller of the experiments: it schedules
+// route changes onto a southbound injector after a configuration delay,
+// on the clock it is given, and records every action. A live node
+// drives its southbound through a Lane instead, which keeps no history.
 type Controller struct {
 	inj         RouteInjector
 	configDelay time.Duration
@@ -70,7 +72,6 @@ type Controller struct {
 
 	mu       sync.Mutex
 	actions  []Action
-	onResult []func(Action)
 	failures stats.Counter
 }
 
@@ -100,48 +101,44 @@ func NewSim(nw *simnet.Network, inj RouteInjector, opts ...Option) *Controller {
 // Announce asks the controller to originate p. The route leaves the
 // routers after the configuration delay.
 func (c *Controller) Announce(p prefix.Prefix) error {
-	return c.apply(ActionAnnounce, p)
+	c.Request(ActionAnnounce, p, nil)
+	return nil
 }
 
 // Withdraw asks the controller to stop originating p.
 func (c *Controller) Withdraw(p prefix.Prefix) error {
-	return c.apply(ActionWithdraw, p)
+	c.Request(ActionWithdraw, p, nil)
+	return nil
 }
 
-func (c *Controller) apply(kind ActionKind, p prefix.Prefix) error {
+// Request schedules one route change after the configuration delay and
+// records it. done, when non-nil, receives the recorded action once the
+// southbound has tried it: the southbound is asynchronous, so this is how
+// the caller that asked learns that an announcement never left the
+// routers.
+func (c *Controller) Request(kind ActionKind, p prefix.Prefix, done func(Action)) {
 	req := c.now()
 	c.after(c.configDelay, func() {
-		var err error
-		if kind == ActionAnnounce {
-			err = c.inj.AnnounceRoute(p)
-		} else {
-			err = c.inj.WithdrawRoute(p)
-		}
+		err := apply(c.inj, kind, p)
 		if err != nil {
 			c.failures.Inc()
 		}
 		act := Action{Kind: kind, Prefix: p, RequestedAt: req, AppliedAt: c.now(), Err: err}
 		c.mu.Lock()
 		c.actions = append(c.actions, act)
-		listeners := make([]func(Action), len(c.onResult))
-		copy(listeners, c.onResult)
 		c.mu.Unlock()
-		for _, fn := range listeners {
-			fn(act)
+		if done != nil {
+			done(act)
 		}
 	})
-	return nil
 }
 
-// OnResult registers a callback invoked after each action is attempted
-// (successful or failed). The southbound is asynchronous — Announce
-// returns before the injector runs — so this is the only way a caller
-// learns that an announcement it requested never left the routers; the
-// mitigation service uses it to mark incidents failed and retryable.
-func (c *Controller) OnResult(fn func(Action)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onResult = append(c.onResult, fn)
+// apply runs one route change on the injector.
+func apply(inj RouteInjector, kind ActionKind, p prefix.Prefix) error {
+	if kind == ActionAnnounce {
+		return inj.AnnounceRoute(p)
+	}
+	return inj.WithdrawRoute(p)
 }
 
 // Actions returns the recorded operations, oldest first, failed ones

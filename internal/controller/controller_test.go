@@ -109,14 +109,11 @@ func TestFailedActionsRecorded(t *testing.T) {
 	inj := &brokenInjector{}
 	ctrl := New(inj, eng.Now, eng.After, WithConfigDelay(time.Second))
 	var results []Action
-	ctrl.OnResult(func(a Action) { results = append(results, a) })
 	p := prefix.MustParse("10.0.0.0/24")
-	if err := ctrl.Announce(p); err != nil {
-		t.Fatal(err)
-	}
+	ctrl.Request(ActionAnnounce, p, func(a Action) { results = append(results, a) })
 	eng.Run()
 	if len(results) != 1 || results[0].Err == nil {
-		t.Fatalf("OnResult not notified of the failure: %+v", results)
+		t.Fatalf("the request's completion not notified of the failure: %+v", results)
 	}
 	acts := ctrl.Actions()
 	if len(acts) != 1 || !acts[0].Failed() || acts[0].Err == nil {

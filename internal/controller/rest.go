@@ -2,9 +2,13 @@ package controller
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"sync/atomic"
+	"time"
 
 	"artemis/internal/prefix"
 )
@@ -49,19 +53,12 @@ func (s *RESTServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad prefix", http.StatusBadRequest)
 			return
 		}
-		switch ActionKind(req.Action) {
-		case ActionAnnounce:
-			err = s.ctrl.Announce(p)
-		case ActionWithdraw:
-			err = s.ctrl.Withdraw(p)
-		default:
+		kind := ActionKind(req.Action)
+		if kind != ActionAnnounce && kind != ActionWithdraw {
 			http.Error(w, "unknown action", http.StatusBadRequest)
 			return
 		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		s.ctrl.Request(kind, p, nil)
 		w.WriteHeader(http.StatusAccepted)
 	case http.MethodGet:
 		actions := s.ctrl.Actions()
@@ -85,37 +82,69 @@ func (s *RESTServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// Timeout bounds one RESTClient call, from dialing to reading the
+// answer. A controller that accepts and never answers fails the call
+// here, so the mitigation retry bound applies to it like to a refusal.
+const Timeout = 5 * time.Second
+
 // RESTClient drives a remote controller; it implements RouteInjector so
-// the ARTEMIS mitigation service can use it directly.
-type RESTClient struct{ baseURL string }
+// the ARTEMIS mitigation service can use it directly. One http.Client
+// with a timeout and a small idle pool carries every call.
+type RESTClient struct {
+	url string
+	hc  http.Client
+	// closedAt is Close's time in Unix nanoseconds, 0 before it.
+	closedAt atomic.Int64
+}
 
 // NewRESTClient points at a RESTServer base URL (http://host:port).
-func NewRESTClient(baseURL string) *RESTClient { return &RESTClient{baseURL: baseURL} }
+func NewRESTClient(baseURL string) *RESTClient {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = 2, 2
+	return &RESTClient{url: baseURL + "/v1/routes", hc: http.Client{Timeout: Timeout, Transport: tr}}
+}
 
 // AnnounceRoute implements RouteInjector.
-func (c *RESTClient) AnnounceRoute(p prefix.Prefix) error {
-	return c.post(wireAction{Prefix: p.String(), Action: string(ActionAnnounce)})
-}
+func (c *RESTClient) AnnounceRoute(p prefix.Prefix) error { return c.post(ActionAnnounce, p) }
 
 // WithdrawRoute implements RouteInjector.
-func (c *RESTClient) WithdrawRoute(p prefix.Prefix) error {
-	return c.post(wireAction{Prefix: p.String(), Action: string(ActionWithdraw)})
+func (c *RESTClient) WithdrawRoute(p prefix.Prefix) error { return c.post(ActionWithdraw, p) }
+
+// Close bounds the calls still to come: each must end within one timeout
+// of Close, as a call already in flight does. Calls stay allowed, so a
+// Lane can still send what was due when it closed.
+func (c *RESTClient) Close() error {
+	c.closedAt.CompareAndSwap(0, time.Now().UnixNano())
+	return nil
 }
 
-func (c *RESTClient) post(a wireAction) error {
-	b, err := json.Marshal(a)
+// post sends {"prefix":"…","action":"…"}, the bytes json.Marshal makes of
+// a wireAction with only those two fields set: neither a prefix nor an
+// action name has a character JSON escapes.
+func (c *RESTClient) post(kind ActionKind, p prefix.Prefix) error {
+	body := p.AppendText([]byte(`{"prefix":"`))
+	body = append(append(append(body, `","action":"`...), kind...), `"}`...)
+	ctx := context.Background()
+	if at := c.closedAt.Load(); at != 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, at).Add(c.hc.Timeout))
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(c.baseURL+"/v1/routes", "application/json", bytes.NewReader(b))
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		return fmt.Errorf("controller: HTTP %d", resp.StatusCode)
 	}
-	return nil
+	return err
 }
 
 var _ RouteInjector = (*RESTClient)(nil)

@@ -106,13 +106,11 @@ func TestSerialPipelineMitigationEquivalence(t *testing.T) {
 			serialDet := NewDetector(equivalenceConfig())
 			serialMon := NewMonitor(equivalenceConfig())
 			serialMit := NewMitigator(equivalenceConfig(), serialAnn, now)
-			serialQ := NewMitigationQueue(serialMit.HandleAlert, MitigationQueueConfig{Synchronous: true}, nil)
-			serialDet.OnAlert(serialQ.Enqueue)
+			serialDet.OnAlert(serialMit.HandleAlert)
 			for _, ev := range evs {
 				serialDet.Process(ev)
 				serialMon.Process(ev)
 			}
-			serialQ.Close()
 
 			// Pipeline under test: async mitigation, small queues for
 			// backpressure coverage.
@@ -120,8 +118,8 @@ func TestSerialPipelineMitigationEquivalence(t *testing.T) {
 			pipeDet := NewDetector(equivalenceConfig())
 			pipeMon := NewMonitor(equivalenceConfig())
 			pipeMit := NewMitigator(equivalenceConfig(), pipeAnn, now)
-			pipeQ := NewMitigationQueue(pipeMit.HandleAlert, MitigationQueueConfig{Depth: 2}, nil)
-			pipeDet.OnAlert(pipeQ.Enqueue)
+			pipeQ := NewMitigationQueue(2)
+			pipeDet.OnAlert(func(a Alert) { pipeQ.Enqueue(pipeMit, a) })
 			p := newPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 4})
 			for i := 0; i < len(evs); i += 41 { // uneven batch boundaries
 				end := min(i+41, len(evs))

@@ -35,7 +35,7 @@ type MitigationRecord struct {
 func (r MitigationRecord) Failed() bool { return r.Err != nil }
 
 // RouteAnnouncer is the slice of the controller the mitigator drives.
-// *controller.Controller implements it; tests substitute failing stubs.
+// A Service adapts its Southbound to it; tests substitute failing stubs.
 type RouteAnnouncer interface {
 	Announce(p prefix.Prefix) error
 }
@@ -158,8 +158,8 @@ const DefaultMaxMitigationRetries = 5
 
 // NoteAnnounceFailure reports that an announcement the controller had
 // accepted failed downstream (the southbound is asynchronous, so
-// HandleAlert cannot see this itself — the Service wires it to
-// controller.OnResult). The announcement of p is one shared route, so
+// HandleAlert cannot see this itself — the Service calls it from the
+// completion it passes with each request). The announcement of p is one shared route, so
 // every incident that relies on it is unmitigated: in first-commit order,
 // each one's latest record is marked failed, p is forgotten so a retry
 // re-announces it, and its claim is released and its retry count bumped.

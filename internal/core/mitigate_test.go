@@ -155,7 +155,7 @@ func TestHandleAlertFailureRecordedAndRetryable(t *testing.T) {
 // TestAsyncFailureFeedbackReleasesIncident exercises the path a real
 // (asynchronous) controller takes: Announce succeeds immediately, the
 // southbound fails later, and the failure comes back via
-// NoteAnnounceFailure (wired to controller.OnResult by the Service). The
+// NoteAnnounceFailure (called from the Service's request completion). The
 // incident must be marked failed, counted, and become retryable — with
 // the retry re-announcing exactly the failed prefix.
 func TestAsyncFailureFeedbackReleasesIncident(t *testing.T) {

@@ -1,13 +1,24 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"artemis/internal/bgp"
+	"artemis/internal/controller"
 	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/prefix"
 )
+
+// gatedAnnouncer blocks every announcement until gate is closed.
+type gatedAnnouncer struct{ gate chan struct{} }
+
+func (g gatedAnnouncer) Announce(prefix.Prefix) error {
+	<-g.gate
+	return nil
+}
 
 // TestAsyncMitigationDoesNotStallSink: with the queue in async mode, a
 // blocked alert handler must not stall the pipeline's sink — Submit and
@@ -15,17 +26,11 @@ import (
 // handler ran on the sink goroutine and this test would deadlock.)
 func TestAsyncMitigationDoesNotStallSink(t *testing.T) {
 	gate := make(chan struct{}) // handler blocks until the test opens it
-	var mu sync.Mutex
-	var handled []incidentKey
-	q := NewMitigationQueue(func(a Alert) {
-		<-gate
-		mu.Lock()
-		handled = append(handled, a.incident())
-		mu.Unlock()
-	}, MitigationQueueConfig{Depth: 64}, nil)
+	mit := NewMitigator(multiOwnedConfig(), gatedAnnouncer{gate}, func() time.Duration { return 0 })
+	q := NewMitigationQueue(64)
 
 	det := NewDetector(multiOwnedConfig())
-	det.OnAlert(q.Enqueue)
+	det.OnAlert(func(a Alert) { q.Enqueue(mit, a) })
 	p := newPipeline(det, NewMonitor(multiOwnedConfig()), PipelineConfig{})
 
 	mk := func(pfx string, origin bgp.ASN) feedtypes.Event {
@@ -56,17 +61,16 @@ func TestAsyncMitigationDoesNotStallSink(t *testing.T) {
 	if snap.Handled != snap.Enqueued {
 		t.Fatalf("close did not drain: handled %d of %d", snap.Handled, snap.Enqueued)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	// Ordered queue: alerts handled in commit order.
 	want := []incidentKey{
 		{typ: AlertExactOrigin, prefix: prefix.MustParse("10.0.0.0/23"), origin: 666},
 		{typ: AlertExactOrigin, prefix: prefix.MustParse("10.1.0.0/22"), origin: 777},
 		{typ: AlertExactOrigin, prefix: prefix.MustParse("192.0.2.0/24"), origin: 888},
 	}
+	recs := mit.Records()
 	for i, k := range want {
-		if i >= len(handled) || handled[i] != k {
-			t.Fatalf("handled order %v, want prefix %v", handled, want)
+		if i >= len(recs) || recs[i].Alert.incident() != k {
+			t.Fatalf("handled order %+v, want %v", recs, want)
 		}
 	}
 }
@@ -79,13 +83,9 @@ func TestMitigationQueueCloseRace(t *testing.T) {
 		enqueuers = 8
 		perEnq    = 200
 	)
-	var mu sync.Mutex
-	handled := 0
-	q := NewMitigationQueue(func(Alert) {
-		mu.Lock()
-		handled++
-		mu.Unlock()
-	}, MitigationQueueConfig{Depth: 4}, nil)
+	ann := &recordingAnnouncer{}
+	mit := NewMitigator(testConfig(), ann, func() time.Duration { return 0 })
+	q := NewMitigationQueue(4)
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -95,7 +95,9 @@ func TestMitigationQueueCloseRace(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perEnq; i++ {
-				q.Enqueue(Alert{Type: AlertExactOrigin, Origin: bgp.ASN(g*1000 + i)})
+				a := alertOf(AlertExactOrigin, "10.0.0.0/23", "10.0.0.0/23")
+				a.Origin = bgp.ASN(g*1000 + i) // one incident each
+				q.Enqueue(mit, a)
 			}
 		}(g)
 	}
@@ -108,31 +110,51 @@ func TestMitigationQueueCloseRace(t *testing.T) {
 	if snap.Enqueued+snap.Dropped != enqueuers*perEnq {
 		t.Fatalf("accounting: enqueued %d + dropped %d != %d", snap.Enqueued, snap.Dropped, enqueuers*perEnq)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if int64(handled) != snap.Enqueued || snap.Handled != snap.Enqueued {
+	if handled := int64(len(mit.Records())); handled != snap.Enqueued || snap.Handled != snap.Enqueued {
 		t.Fatalf("accepted %d, handled %d (counter %d): accepted alerts lost on Close",
 			snap.Enqueued, handled, snap.Handled)
 	}
 }
 
-// TestMitigationQueueSynchronous: sync mode runs the handler inline —
-// the virtual-time experiments' semantics.
-func TestMitigationQueueSynchronous(t *testing.T) {
-	var handled []bgp.ASN
-	q := NewMitigationQueue(func(a Alert) { handled = append(handled, a.Origin) },
-		MitigationQueueConfig{Synchronous: true}, nil)
-	q.Enqueue(Alert{Origin: 1})
-	q.Enqueue(Alert{Origin: 2})
-	if len(handled) != 2 || handled[0] != 1 || handled[1] != 2 {
-		t.Fatalf("handled = %v", handled) // inline: visible immediately, in order
+// requestLog is a Southbound that records each request and answers none.
+type requestLog struct {
+	reqs []prefix.Prefix
+	done []func(controller.Action)
+}
+
+func (r *requestLog) Request(_ controller.ActionKind, p prefix.Prefix, done func(controller.Action)) {
+	r.reqs = append(r.reqs, p)
+	r.done = append(r.done, done)
+}
+
+// TestServiceInlineMitigation: a service built without a queue mitigates
+// on the alert-committing goroutine — the virtual-time experiments'
+// semantics — and a closed service hands nothing more to mitigation,
+// retries included.
+func TestServiceInlineMitigation(t *testing.T) {
+	sb := &requestLog{}
+	svc, err := NewService(testConfig(), sb, func() time.Duration { return 0 })
+	if err != nil {
+		t.Fatal(err)
 	}
-	q.Close()
-	q.Enqueue(Alert{Origin: 3})
-	if len(handled) != 2 {
-		t.Fatal("enqueue after close ran the handler")
+	svc.Detector.Process(announceEvent("10.0.0.0/23", 1001, 666))
+	if len(sb.reqs) != 2 { // inline: visible as soon as Process returns
+		t.Fatalf("requests = %v", sb.reqs)
 	}
-	if s := q.Snapshot(); s.Dropped != 1 || !s.Synchronous {
-		t.Fatalf("snapshot = %+v", s)
+	// A failed announcement retries inline.
+	sb.done[0](controller.Action{Kind: controller.ActionAnnounce, Prefix: sb.reqs[0], Err: errTest})
+	if len(sb.reqs) != 3 || sb.reqs[2] != sb.reqs[0] {
+		t.Fatalf("retry requests = %v", sb.reqs)
+	}
+	svc.Close()
+	svc.Detector.Process(announceEvent("10.0.0.0/23", 1001, 667))
+	sb.done[1](controller.Action{Kind: controller.ActionAnnounce, Prefix: sb.reqs[1], Err: errTest})
+	if len(sb.reqs) != 3 {
+		t.Fatalf("closed service still mitigates: %v", sb.reqs)
+	}
+	if got := len(svc.Detector.Alerts()); got != 2 {
+		t.Fatalf("alerts = %d, want 2 (detection goes on after Close)", got)
 	}
 }
+
+var errTest = errors.New("southbound down")

@@ -65,8 +65,7 @@ func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 			serialDet := NewDetector(base)
 			serialMon := NewMonitor(base)
 			serialMit := NewMitigator(base, serialAnn, now)
-			serialQ := NewMitigationQueue(serialMit.HandleAlert, MitigationQueueConfig{Synchronous: true}, nil)
-			serialDet.OnAlert(serialQ.Enqueue)
+			serialDet.OnAlert(serialMit.HandleAlert)
 			from := 0
 			for _, st := range stages {
 				for _, ev := range evs[from:st.to] {
@@ -78,7 +77,6 @@ func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 					swapSerial(serialDet, serialMon, serialMit, st.next)
 				}
 			}
-			serialQ.Close()
 
 			// Pipeline under test: batched submission with ReconfigureTable
 			// barriers at the same stream positions.
@@ -86,8 +84,8 @@ func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 			pipeDet := NewDetector(base)
 			pipeMon := NewMonitor(base)
 			pipeMit := NewMitigator(base, pipeAnn, now)
-			pipeQ := NewMitigationQueue(pipeMit.HandleAlert, MitigationQueueConfig{Depth: 2}, nil)
-			pipeDet.OnAlert(pipeQ.Enqueue)
+			pipeQ := NewMitigationQueue(2)
+			pipeDet.OnAlert(func(a Alert) { pipeQ.Enqueue(pipeMit, a) })
 			p := newPipeline(pipeDet, pipeMon, PipelineConfig{QueueDepth: 4})
 			from = 0
 			for _, st := range stages {

@@ -5,22 +5,26 @@ import (
 	"time"
 
 	"artemis/internal/controller"
+	"artemis/internal/prefix"
 	"artemis/internal/stats"
 )
 
 // Service is the assembled ARTEMIS instance: detection, mitigation and
 // monitoring wired together per Fig. 1 of the paper. Alerts flow from the
-// detector through the MitigationQueue to the Mitigator, so a slow
+// detector to the Mitigator, inline by default (the virtual-time
+// experiments' semantics) or through a host's MitigationQueue, so a slow
 // controller southbound never stalls whichever goroutine commits alerts
 // (the pipeline's sink in daemon mode).
 type Service struct {
 	Detector  *Detector
 	Mitigator *Mitigator
 	Monitor   *Monitor
-	// Mitigation is the queue between alert commit and mitigation. It is
-	// synchronous by default (the virtual-time experiments' semantics);
-	// WithAsyncMitigation turns it into a bounded background worker.
-	Mitigation *MitigationQueue
+
+	// queue, when set, is the host's mitigation queue shared by its
+	// services; nil runs mitigation inline.
+	queue *MitigationQueue
+	// closed stops the service handing alerts to mitigation.
+	closed atomic.Bool
 
 	// cur is the active configuration snapshot; SwapConfig replaces it.
 	cur atomic.Pointer[Config]
@@ -36,33 +40,31 @@ type Service struct {
 	onMitigationDrop atomic.Pointer[func(Alert)]
 }
 
-// ServiceOption configures NewService.
-type ServiceOption func(*serviceOptions)
-
-type serviceOptions struct {
-	queue MitigationQueueConfig
+// Southbound is the controller a service mitigates through: Request asks
+// for one route change, and done later receives its outcome. Passing the
+// completion with each request lets one southbound serve many services,
+// each learning only of its own announcements. *controller.Controller
+// (the experiments') and *controller.Lane (a live node's) implement it.
+type Southbound interface {
+	Request(kind controller.ActionKind, p prefix.Prefix, done func(controller.Action))
 }
 
-// WithAsyncMitigation runs alert handling on a bounded background worker
-// with the given queue depth (0 → default) instead of inline on the
-// alert-committing goroutine. Live daemons want this; virtual-time
-// experiments must not use it.
-func WithAsyncMitigation(depth int) ServiceOption {
-	return func(o *serviceOptions) {
-		o.queue = MitigationQueueConfig{Depth: depth, Synchronous: false}
-	}
+// ServiceOption configures NewService.
+type ServiceOption func(*Service)
+
+// WithMitigationQueue hands the service's alerts to q, a live host's one
+// mitigation worker, instead of mitigating inline on the alert-committing
+// goroutine. Virtual-time experiments must not use it.
+func WithMitigationQueue(q *MitigationQueue) ServiceOption {
+	return func(s *Service) { s.queue = q }
 }
 
 // NewService validates the configuration and assembles the services.
 // now supplies timestamps (the simulation engine's clock, or a wall-clock
 // adapter in live mode).
-func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Duration, opts ...ServiceOption) (*Service, error) {
+func NewService(cfg *Config, sb Southbound, now func() time.Duration, opts ...ServiceOption) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	o := serviceOptions{queue: MitigationQueueConfig{Synchronous: true}}
-	for _, opt := range opts {
-		opt(&o)
 	}
 	if cfg.Self == nil {
 		// The self-announcement registry ties mitigation to detection: the
@@ -72,13 +74,19 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 	}
 	incidents := newIncidents(cfg)
 	s := &Service{
-		Detector:  newDetector(cfg, incidents),
-		Mitigator: newMitigator(cfg, ctrl, now, incidents),
-		Monitor:   NewMonitor(cfg),
-		now:       now,
+		Detector: newDetector(cfg, incidents),
+		Monitor:  NewMonitor(cfg),
+		now:      now,
 	}
+	for _, opt := range opts {
+		opt(s)
+	}
+	var ann RouteAnnouncer
+	if sb != nil {
+		ann = announcer{sb, s.announced}
+	}
+	s.Mitigator = newMitigator(cfg, ann, now, incidents)
 	s.cur.Store(cfg)
-	s.Mitigation = NewMitigationQueue(s.Mitigator.HandleAlert, o.queue, s.Mitigator.Failures)
 	if !cfg.ManualMitigation {
 		s.Detector.OnAlert(func(a Alert) {
 			if !s.allowMitigation() {
@@ -88,32 +96,53 @@ func NewService(cfg *Config, ctrl *controller.Controller, now func() time.Durati
 				}
 				return
 			}
-			s.Mitigation.Enqueue(a)
-		})
-	}
-	if ctrl != nil {
-		// The controller's southbound is asynchronous: Announce returns
-		// before the injector runs, so mitigation failures only surface
-		// through the action results. Feed them back so failed incidents
-		// are marked and released, then re-enqueue them: the detector's
-		// dedup never re-delivers an alert for an incident it has seen, so
-		// without this loop a transient southbound outage would leave the
-		// hijack unmitigated forever. Retries are bounded per incident by
-		// the active snapshot's MaxMitigationRetries, read on every
-		// failure, so retuning it applies to incidents already in the
-		// loop; each cycle is naturally paced by the controller's config
-		// delay. Retries bypass the mitigation rate limit: the incident
-		// was already admitted once.
-		ctrl.OnResult(func(a controller.Action) {
-			if a.Err == nil || a.Kind != controller.ActionAnnounce {
-				return
-			}
-			for _, alert := range s.Mitigator.NoteAnnounceFailure(a.Prefix, a.Err) {
-				s.Mitigation.Enqueue(alert)
-			}
+			s.mitigate(a)
 		})
 	}
 	return s, nil
+}
+
+// announcer is the Mitigator's view of a southbound: each announcement
+// carries the service's completion.
+type announcer struct {
+	sb   Southbound
+	done func(controller.Action)
+}
+
+func (a announcer) Announce(p prefix.Prefix) error {
+	a.sb.Request(controller.ActionAnnounce, p, a.done)
+	return nil
+}
+
+// announced is the completion of the service's announcements. The
+// southbound is asynchronous: Announce returns before the injector runs,
+// so mitigation failures only surface here. A failure marks the incidents
+// relying on the announcement failed and releases them, then re-queues
+// them: the detector's dedup never re-delivers an alert for an incident
+// it has seen, so without this loop a transient southbound outage would
+// leave the hijack unmitigated forever. Retries are bounded per incident
+// by the active snapshot's MaxMitigationRetries, read on every failure,
+// so retuning it applies to incidents already in the loop; each cycle is
+// naturally paced by the controller's config delay. Retries bypass the
+// mitigation rate limit: the incident was already admitted once.
+func (s *Service) announced(a controller.Action) {
+	if a.Err == nil {
+		return
+	}
+	for _, alert := range s.Mitigator.NoteAnnounceFailure(a.Prefix, a.Err) {
+		s.mitigate(alert)
+	}
+}
+
+// mitigate hands one alert to mitigation, unless the service is closed.
+func (s *Service) mitigate(a Alert) {
+	switch {
+	case s.closed.Load():
+	case s.queue != nil:
+		s.queue.Enqueue(s.Mitigator, a)
+	default:
+		s.Mitigator.HandleAlert(a)
+	}
 }
 
 // allowMitigation spends one token from the MitigationRatePerMin bucket
@@ -160,8 +189,9 @@ func (s *Service) SwapConfig(next *Config) {
 	s.cur.Store(next)
 }
 
-// Close drains the mitigation queue: every alert already accepted is
-// handled before Close returns. Safe to call more than once.
+// Close stops the service's mitigation: alerts and retries raised after
+// it are not handed on. Alerts already in a host's queue are still
+// handled; the host drains the queue. Safe to call more than once.
 func (s *Service) Close() {
-	s.Mitigation.Close()
+	s.closed.Store(true)
 }

@@ -57,11 +57,13 @@ type tenantHarness struct {
 	det *Detector
 	mon *Monitor
 	mit *Mitigator
-	q   *MitigationQueue
 	ann *recordingAnnouncer
 }
 
-func newTenantHarness(cfg *Config) *tenantHarness {
+// newTenantHarness wires one tenant's stack. Its alerts are mitigated
+// through q, a queue tenants may share as a node's do, or inline when q
+// is nil.
+func newTenantHarness(cfg *Config, q *MitigationQueue) *tenantHarness {
 	h := &tenantHarness{
 		cfg: cfg,
 		det: NewDetector(cfg),
@@ -69,8 +71,11 @@ func newTenantHarness(cfg *Config) *tenantHarness {
 		ann: &recordingAnnouncer{},
 	}
 	h.mit = NewMitigator(cfg, h.ann, func() time.Duration { return 0 })
-	h.q = NewMitigationQueue(h.mit.HandleAlert, MitigationQueueConfig{Synchronous: true}, nil)
-	h.det.OnAlert(h.q.Enqueue)
+	if q == nil {
+		h.det.OnAlert(h.mit.HandleAlert)
+	} else {
+		h.det.OnAlert(func(a Alert) { q.Enqueue(h.mit, a) })
+	}
 	return h
 }
 
@@ -92,7 +97,7 @@ func TestMultiTenantEquivalence(t *testing.T) {
 			// batch boundaries.
 			indep := map[string]*tenantHarness{}
 			for _, name := range names {
-				h := newTenantHarness(tenantConfigs()[name])
+				h := newTenantHarness(tenantConfigs()[name], nil)
 				p := newPipeline(h.det, h.mon, PipelineConfig{QueueDepth: 4})
 				filter := feedtypes.Filter{
 					Prefixes:     h.cfg.OwnedPrefixes,
@@ -110,15 +115,16 @@ func TestMultiTenantEquivalence(t *testing.T) {
 					p.Submit(pass)
 				}
 				p.Close()
-				h.q.Close()
 				indep[name] = h
 			}
 
-			// Shared pipeline: every tenant on one hot path, full stream.
+			// Shared pipeline: every tenant on one hot path and one
+			// mitigation queue, full stream.
 			shared := map[string]*tenantHarness{}
 			var policies []TenantPolicy
+			q := NewMitigationQueue(2)
 			for _, name := range names {
-				h := newTenantHarness(tenantConfigs()[name])
+				h := newTenantHarness(tenantConfigs()[name], q)
 				shared[name] = h
 				policies = append(policies, TenantPolicy{
 					Name: name, Config: h.cfg, Detector: h.det, Monitor: h.mon,
@@ -133,9 +139,7 @@ func TestMultiTenantEquivalence(t *testing.T) {
 				p.Submit(evs[i:min(i+41, len(evs))])
 			}
 			p.Close()
-			for _, name := range names {
-				shared[name].q.Close()
-			}
+			q.Close()
 
 			for _, name := range names {
 				got, want := shared[name], indep[name]
@@ -171,7 +175,7 @@ func TestMultiTenantEquivalence(t *testing.T) {
 // (and runtime counters) carry over untouched.
 func TestMultiTenantReconfigureOne(t *testing.T) {
 	cfgs := tenantConfigs()
-	a, b := newTenantHarness(cfgs["alpha"]), newTenantHarness(cfgs["bravo"])
+	a, b := newTenantHarness(cfgs["alpha"], nil), newTenantHarness(cfgs["bravo"], nil)
 	table, err := NewPolicyTable([]TenantPolicy{
 		{Name: "alpha", Config: a.cfg, Detector: a.det, Monitor: a.mon},
 		{Name: "bravo", Config: b.cfg, Detector: b.det, Monitor: b.mon},
@@ -263,7 +267,7 @@ func TestNoisyTenantQuotaIsolation(t *testing.T) {
 		LegitOrigins:       []bgp.ASN{61001},
 		MaxEventsPerSecond: 100,
 	}
-	quiet, noisy := newTenantHarness(quietCfg), newTenantHarness(noisyCfg)
+	quiet, noisy := newTenantHarness(quietCfg, nil), newTenantHarness(noisyCfg, nil)
 	table, err := NewPolicyTable([]TenantPolicy{
 		{Name: "quiet", Config: quietCfg, Detector: quiet.det, Monitor: quiet.mon},
 		{Name: "noisy", Config: noisyCfg, Detector: noisy.det, Monitor: noisy.mon},
@@ -316,8 +320,6 @@ func TestNoisyTenantQuotaIsolation(t *testing.T) {
 	}
 	p.SubmitWait(batch)
 	p.Close()
-	quiet.q.Close()
-	noisy.q.Close()
 
 	// The quiet tenant lost nothing: every event classified, every
 	// distinct incident alerted, zero drops.

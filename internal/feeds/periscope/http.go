@@ -1,6 +1,7 @@
 package periscope
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -98,10 +99,26 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// QueryTimeout bounds one client call, from dialing to reading the
+// answer, so a looking glass that never answers cannot hold its reader.
+const QueryTimeout = 30 * time.Second
+
+// client carries every HTTPQuery and HTTPListLGs call.
+var client = &http.Client{Timeout: QueryTimeout}
+
+// get fetches url within QueryTimeout, or until ctx is done.
+func get(ctx context.Context, url string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	return client.Do(req)
+}
+
 // HTTPQuery performs one LG query against a Server base URL; it is the
-// client half used by the live daemon.
-func HTTPQuery(baseURL, lgID string, p prefix.Prefix) ([]LGRoute, error) {
-	resp, err := http.Get(fmt.Sprintf("%s/lg/query?id=%s&prefix=%s", baseURL, lgID, p))
+// client half used by the live daemon. Cancelling ctx abandons it.
+func HTTPQuery(ctx context.Context, baseURL, lgID string, p prefix.Prefix) ([]LGRoute, error) {
+	resp, err := get(ctx, fmt.Sprintf("%s/lg/query?id=%s&prefix=%s", baseURL, lgID, p))
 	if err != nil {
 		return nil, err
 	}
@@ -129,8 +146,8 @@ func HTTPQuery(baseURL, lgID string, p prefix.Prefix) ([]LGRoute, error) {
 }
 
 // HTTPListLGs fetches the LG inventory from a Server.
-func HTTPListLGs(baseURL string) ([]string, error) {
-	resp, err := http.Get(baseURL + "/lg")
+func HTTPListLGs(ctx context.Context, baseURL string) ([]string, error) {
+	resp, err := get(ctx, baseURL+"/lg")
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package periscope
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -195,11 +196,11 @@ func TestHTTPServerEndToEnd(t *testing.T) {
 		eng.RunPaced(1e6, 0, 300*time.Millisecond)
 	}()
 
-	ids, err := HTTPListLGs(hs.URL)
+	ids, err := HTTPListLGs(context.Background(), hs.URL)
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("ids=%v err=%v", ids, err)
 	}
-	routes, err := HTTPQuery(hs.URL, ids[0], owned)
+	routes, err := HTTPQuery(context.Background(), hs.URL, ids[0], owned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestHTTPServerEndToEnd(t *testing.T) {
 		t.Fatalf("routes = %+v", routes)
 	}
 	// Bad inputs.
-	if _, err := HTTPQuery(hs.URL, "lg-none", owned); err == nil {
+	if _, err := HTTPQuery(context.Background(), hs.URL, "lg-none", owned); err == nil {
 		t.Fatal("unknown LG id accepted over HTTP")
 	}
 	<-done

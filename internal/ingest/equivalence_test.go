@@ -179,13 +179,11 @@ func TestMultiSourceFanInMatchesSerialDedupedUnion(t *testing.T) {
 				serialDet := core.NewDetector(equivConfig())
 				serialMon := core.NewMonitor(equivConfig())
 				serialMit := core.NewMitigator(equivConfig(), serialAnn, now)
-				serialQ := core.NewMitigationQueue(serialMit.HandleAlert, core.MitigationQueueConfig{Synchronous: true}, nil)
-				serialDet.OnAlert(serialQ.Enqueue)
+				serialDet.OnAlert(serialMit.HandleAlert)
 				for _, ev := range union {
 					serialDet.Process(ev)
 					serialMon.Process(ev)
 				}
-				serialQ.Close()
 
 				// Fan-in under test: K in-process sources through the
 				// supervisor (synchronous, so delivery order is the
@@ -194,8 +192,7 @@ func TestMultiSourceFanInMatchesSerialDedupedUnion(t *testing.T) {
 				fanDet := core.NewDetector(equivConfig())
 				fanMon := core.NewMonitor(equivConfig())
 				fanMit := core.NewMitigator(equivConfig(), fanAnn, now)
-				fanQ := core.NewMitigationQueue(fanMit.HandleAlert, core.MitigationQueueConfig{Synchronous: true}, nil)
-				fanDet.OnAlert(fanQ.Enqueue)
+				fanDet.OnAlert(fanMit.HandleAlert)
 				pl := newPipeline(fanDet, fanMon, core.PipelineConfig{QueueDepth: 4})
 				sup := ingest.New(pl.SubmitWait, ingest.Config{DedupTTL: 24 * time.Hour})
 				hubs := make([]hubSource, k)
@@ -217,7 +214,6 @@ func TestMultiSourceFanInMatchesSerialDedupedUnion(t *testing.T) {
 				}
 				sup.Close()
 				pl.Close()
-				fanQ.Close()
 
 				if got, want := fanDet.Alerts(), serialDet.Alerts(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("alerts diverge: fan-in %d, serial %d\n fan %+v\n ser %+v", len(got), len(want), got, want)

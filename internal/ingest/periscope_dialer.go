@@ -1,9 +1,9 @@
 package ingest
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"artemis/internal/bgp"
@@ -59,7 +59,7 @@ func PeriscopeDialer(baseURL string, cfg PeriscopeConfig) Dialer {
 		lgs := cfg.LGs
 		if len(lgs) == 0 {
 			var err error
-			lgs, err = periscope.HTTPListLGs(baseURL)
+			lgs, err = periscope.HTTPListLGs(context.Background(), baseURL)
 			if err != nil {
 				return nil, fmt.Errorf("ingest: periscope %s: list LGs: %w", baseURL, err)
 			}
@@ -67,12 +67,14 @@ func PeriscopeDialer(baseURL string, cfg PeriscopeConfig) Dialer {
 		if len(lgs) == 0 {
 			return nil, fmt.Errorf("ingest: periscope %s: no looking glasses", baseURL)
 		}
+		ctx, cancel := context.WithCancel(context.Background())
 		return &periscopeConn{
-			base:  baseURL,
-			lgs:   lgs,
-			cfg:   cfg,
-			state: make(map[string]lgAnswer),
-			stop:  make(chan struct{}),
+			base:   baseURL,
+			lgs:    lgs,
+			cfg:    cfg,
+			state:  make(map[string]lgAnswer),
+			ctx:    ctx,
+			cancel: cancel,
 		}, nil
 	})
 }
@@ -86,13 +88,15 @@ type lgAnswer struct {
 }
 
 type periscopeConn struct {
-	base     string
-	lgs      []string
-	cfg      PeriscopeConfig
-	state    map[string]lgAnswer
-	first    bool
-	stop     chan struct{}
-	stopOnce sync.Once
+	base  string
+	lgs   []string
+	cfg   PeriscopeConfig
+	state map[string]lgAnswer
+	first bool
+	// ctx carries every query; Close cancels it, abandoning the one in
+	// flight.
+	ctx    context.Context
+	cancel context.CancelFunc
 	// buf is the reused per-round change batch (Conn contract: the batch
 	// a Recv returns is valid only until the next Recv).
 	buf []feedtypes.Event
@@ -108,19 +112,17 @@ func (c *periscopeConn) Recv() ([]feedtypes.Event, error) {
 		if c.first {
 			t := time.NewTimer(c.cfg.PollInterval)
 			select {
-			case <-c.stop:
+			case <-c.ctx.Done():
 				t.Stop()
 				return nil, errPeriscopeClosed
 			case <-t.C:
 			}
 		}
 		c.first = true
-		select {
-		case <-c.stop:
-			return nil, errPeriscopeClosed
-		default:
-		}
 		batch, err := c.poll()
+		if c.ctx.Err() != nil {
+			return nil, errPeriscopeClosed
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +140,7 @@ func (c *periscopeConn) poll() ([]feedtypes.Event, error) {
 	defer func() { c.buf = changed }()
 	for _, lgID := range c.lgs {
 		for _, watched := range watch {
-			answers, err := periscope.HTTPQuery(c.base, lgID, watched)
+			answers, err := periscope.HTTPQuery(c.ctx, c.base, lgID, watched)
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +195,7 @@ func (c *periscopeConn) poll() ([]feedtypes.Event, error) {
 }
 
 func (c *periscopeConn) Close() error {
-	c.stopOnce.Do(func() { close(c.stop) })
+	c.cancel()
 	return nil
 }
 

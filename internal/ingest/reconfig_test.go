@@ -2,6 +2,7 @@ package ingest_test
 
 import (
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -320,4 +321,45 @@ func TestPeriscopeDialer(t *testing.T) {
 		t.Fatalf("source not healthy: %v", sup.SourceState(id))
 	}
 	_ = fmt.Sprintf("%v", id)
+}
+
+// TestPeriscopeCloseHangingLG: a looking glass that accepts a query and
+// never answers does not hold its reader, so Supervisor.Close returns
+// promptly instead of waiting on it.
+func TestPeriscopeCloseHangingLG(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+
+	var got collector
+	sup := ingest.New(got.deliver, ingest.Config{BackoffBase: 5 * time.Millisecond, Seed: 1})
+	sup.AddDialer("periscope[0]", ingest.PeriscopeDialer("http://"+ln.Addr().String(), ingest.PeriscopeConfig{
+		LGs: []string{"lg-1"},
+		Filter: ingest.StaticFilter(feedtypes.Filter{
+			Prefixes: []prefix.Prefix{prefix.MustParse("10.0.0.0/23")},
+		}),
+		PollInterval: 10 * time.Millisecond,
+	}))
+	select {
+	case c := <-accepted:
+		defer c.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("no query reached the looking glass")
+	}
+
+	closed := make(chan struct{})
+	go func() { sup.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Supervisor.Close waits on a looking glass that never answers")
+	}
 }

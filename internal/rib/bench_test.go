@@ -51,11 +51,12 @@ func BenchmarkRIBLoad(b *testing.B) {
 
 // BenchmarkRIBApply folds live 7-event batches (glass-mixed's mean batch
 // size) into a table loaded with that workload's snapshot shape (100k v4 +
-// 20k v6 prefixes, seed 1). The first half of the event cycle announces
-// 14,336 random resident prefixes from a vantage point the snapshot lacks
-// (a second candidate, usually the new best); the second half withdraws
-// them in the same order. Every event so finds its prefix cold, and a full
-// cycle leaves the table as loaded.
+// 20k v6 prefixes, seed 1). /announce announces 14,336 random resident
+// prefixes from a vantage point the snapshot lacks (a second candidate,
+// usually the new best); /withdraw withdraws those announcements again.
+// Every event so finds its prefix cold. Each sub-benchmark times only its
+// own kind: the opposite events that restore the table run with the timer
+// stopped, after every full pass and after the last batch.
 func BenchmarkRIBApply(b *testing.B) {
 	var buf bytes.Buffer
 	if err := WriteSynth(&buf, SynthConfig{V4: 100_000, V6: 20_000, Seed: 1}); err != nil {
@@ -67,21 +68,41 @@ func BenchmarkRIBApply(b *testing.B) {
 	}
 	resident := bests(t)
 	const batch, n, vp = 7, 7 * 2048, bgp.ASN(64999)
-	evs := make([]feedtypes.Event, 0, 2*n)
+	ann := make([]feedtypes.Event, 0, n)
 	for _, i := range rand.New(rand.NewSource(1)).Perm(len(resident))[:n] {
 		r := resident[i]
-		evs = append(evs, feedtypes.Event{Kind: feedtypes.Announce, VantagePoint: vp, Prefix: r.prefix, Path: []bgp.ASN{vp, r.path[len(r.path)-1]}})
+		ann = append(ann, feedtypes.Event{Kind: feedtypes.Announce, VantagePoint: vp, Prefix: r.prefix, Path: []bgp.ASN{vp, r.path[len(r.path)-1]}})
 	}
-	for i := range n {
-		evs = append(evs, feedtypes.Event{Kind: feedtypes.Withdraw, VantagePoint: vp, Prefix: evs[i].Prefix})
+	wd := make([]feedtypes.Event, n)
+	for i, e := range ann {
+		wd[i] = feedtypes.Event{Kind: feedtypes.Withdraw, VantagePoint: vp, Prefix: e.Prefix}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % (2 * n / batch) * batch
-		t.Apply(evs[j : j+batch])
+	applyUpTo := func(evs []feedtypes.Event, end int) {
+		for k := 0; k < end; k += batch {
+			t.Apply(evs[k : k+batch])
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
+	run := func(b *testing.B, timed, undo []feedtypes.Event) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % (n / batch) * batch
+			t.Apply(timed[j : j+batch])
+			if end := j + batch; end == n || i == b.N-1 {
+				b.StopTimer()
+				applyUpTo(undo, end)
+				b.StartTimer()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/event")
+	}
+	b.Run("announce", func(b *testing.B) { run(b, ann, wd) })
+	b.Run("withdraw", func(b *testing.B) {
+		applyUpTo(ann, n)
+		run(b, wd, ann)
+		b.StopTimer()
+		applyUpTo(wd, n)
+	})
 }
 
 // TestLoadAllocsPerRoute holds the bootstrap to its allocation budget on

@@ -16,6 +16,7 @@ import (
 // beside it the plain way, per best-route change.
 type refTable struct {
 	rt        *route.Table
+	routes    int64
 	origins   map[bgp.ASN]originCount
 	masks     [2][129]int64
 	announces [2]int64
@@ -54,7 +55,9 @@ func (r *refTable) note(p prefix.Prefix, old, best *route.Route, changed bool) {
 }
 
 func (r *refTable) update(p prefix.Prefix, vp bgp.ASN, path []bgp.ASN) {
+	before := len(r.rt.Candidates(p))
 	old, best, changed := r.rt.Update(&route.Route{Prefix: p, Path: slices.Clone(path), From: vp, Rel: topo.Peer})
+	r.routes += int64(len(r.rt.Candidates(p)) - before)
 	r.note(p, old, best, changed)
 }
 
@@ -69,7 +72,9 @@ func (r *refTable) apply(evs []feedtypes.Event) {
 			r.update(ev.Prefix, ev.VantagePoint, ev.Path)
 		case feedtypes.Withdraw:
 			r.withdraws[famIdx(ev.Prefix)]++
+			before := len(r.rt.Candidates(ev.Prefix))
 			old, best, changed := r.rt.Withdraw(ev.Prefix, ev.VantagePoint)
+			r.routes += int64(len(r.rt.Candidates(ev.Prefix)) - before)
 			r.note(ev.Prefix, old, best, changed)
 		}
 	}
@@ -80,11 +85,11 @@ func (r *refTable) lookup(p prefix.Prefix) (LookupResult, bool) {
 	if !ok {
 		return LookupResult{}, false
 	}
-	return LookupResult{Matched: b.Prefix, VantagePoint: b.From, Path: b.Path, Origin: b.Origin(0), Candidates: r.rt.NumCandidates(b.Prefix)}, true
+	return LookupResult{Matched: b.Prefix, VantagePoint: b.From, Path: b.Path, Origin: b.Origin(0), Candidates: len(r.rt.Candidates(b.Prefix))}, true
 }
 
 func (r *refTable) snapshot() Stats {
-	s := Stats{Routes: int64(r.rt.Routes()), Origins: len(r.origins)}
+	s := Stats{Routes: r.routes, Origins: len(r.origins)}
 	copy(s.MasksV4[:], r.masks[0][:])
 	copy(s.MasksV6[:], r.masks[1][:])
 	for _, n := range s.MasksV4 {

@@ -19,7 +19,6 @@ import (
 type Table struct {
 	self   bgp.ASN
 	states *prefix.Trie[*prefixState]
-	routes int
 	chunk  []prefixState  // the current chunk's uncarved tail
 	free   []*prefixState // states of withdrawn prefixes
 	carved int            // states carved so far
@@ -91,9 +90,6 @@ func (t *Table) newState() *prefixState {
 	return st
 }
 
-// Self returns the owning ASN.
-func (t *Table) Self() bgp.ASN { return t.self }
-
 // Update installs or replaces the candidate route from r.From for r.Prefix
 // and re-runs selection. It returns the previous and new best routes and
 // whether the best route changed. Routes containing the local ASN in their
@@ -115,7 +111,6 @@ func (t *Table) Update(r *Route) (old, best *Route, changed bool) {
 	i := st.find(r.From)
 	if i < 0 {
 		st.cands = append(st.cands, candidate{from: r.From, r: r})
-		t.routes++
 	} else {
 		st.cands[i].r = r
 	}
@@ -144,7 +139,6 @@ func (t *Table) Withdraw(p prefix.Prefix, from bgp.ASN) (old, best *Route, chang
 		return st.best, st.best, false
 	}
 	st.cands = slices.Delete(st.cands, i, i+1)
-	t.routes--
 	old, best = st.best, st.best
 	if old.From == from {
 		best = st.rescan()
@@ -211,19 +205,6 @@ func (t *Table) Candidates(p prefix.Prefix) []*Route {
 	}
 	return out
 }
-
-// NumCandidates returns the number of candidate routes for exactly p
-// without allocating (Candidates copies; counters only need the size).
-func (t *Table) NumCandidates(p prefix.Prefix) int {
-	st, _ := t.states.Get(p)
-	if st == nil {
-		return 0
-	}
-	return len(st.cands)
-}
-
-// Routes returns the number of candidate routes across all prefixes.
-func (t *Table) Routes() int { return t.routes }
 
 // Resolve performs longest-prefix-match forwarding for addr and returns the
 // best route of the most specific covering prefix. This is "where does my

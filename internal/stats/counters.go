@@ -102,9 +102,9 @@ type IngestSnapshot struct {
 	Sources []IngestSourceSnapshot
 }
 
-// MitigationQueueSnapshot is the async mitigation stage's counters: how
+// MitigationQueueSnapshot is a node's mitigation queue's counters: how
 // many alerts entered and left the queue, how long they waited, and how
-// long the handler (mitigation computation + controller calls) took.
+// long the handler (mitigation computation and southbound requests) took.
 type MitigationQueueSnapshot struct {
 	// Enqueued/Handled count alerts through the queue; Enqueued-Handled is
 	// the stage's in-flight depth. Dropped counts alerts rejected after
@@ -118,7 +118,4 @@ type MitigationQueueSnapshot struct {
 	QueueLen, QueueCap int
 	// Wait is time spent queued; Handle is handler execution time.
 	Wait, Handle HistogramSnapshot
-	// Synchronous reports the queue's mode (true = handler runs inline on
-	// the caller, the virtual-time experiments' semantics).
-	Synchronous bool
 }

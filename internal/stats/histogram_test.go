@@ -88,13 +88,12 @@ func TestWritePromShapes(t *testing.T) {
 
 	var mb strings.Builder
 	MitigationQueueSnapshot{Enqueued: 5, Handled: 4, QueueLen: 1, QueueCap: 64,
-		Wait: h.Snapshot(), Handle: h.Snapshot(), Synchronous: false, Failures: 2}.WriteProm(&mb)
+		Wait: h.Snapshot(), Handle: h.Snapshot(), Failures: 2}.WriteProm(&mb)
 	mout := mb.String()
 	for _, want := range []string{
 		"artemis_mitigation_enqueued_total 5",
 		"artemis_mitigation_failures_total 2",
 		"artemis_mitigation_queue_depth 1",
-		"artemis_mitigation_synchronous 0",
 		`artemis_mitigation_wait_seconds_bucket{le="+Inf"} 1`,
 	} {
 		if !strings.Contains(mout, want) {

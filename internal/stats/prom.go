@@ -73,11 +73,6 @@ func (s MitigationQueueSnapshot) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "artemis_mitigation_failures_total %d\n", s.Failures)
 	fmt.Fprintf(w, "artemis_mitigation_queue_depth %d\n", s.QueueLen)
 	fmt.Fprintf(w, "artemis_mitigation_queue_capacity %d\n", s.QueueCap)
-	sync := 0
-	if s.Synchronous {
-		sync = 1
-	}
-	fmt.Fprintf(w, "artemis_mitigation_synchronous %d\n", sync)
 	s.Wait.writeProm(w, "artemis_mitigation_wait_seconds", "")
 	s.Handle.writeProm(w, "artemis_mitigation_handle_seconds", "")
 }

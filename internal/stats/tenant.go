@@ -32,44 +32,3 @@ func (s TenantSnapshot) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "artemis_tenant_alerts_total{%s} %d\n", l, s.Alerts)
 	fmt.Fprintf(w, "artemis_tenant_mitigation_rate_drops_total{%s} %d\n", l, s.MitigationRateDrops)
 }
-
-// Merge folds other into s field-wise — the multi-tenant node sums its
-// per-tenant mitigation queues into the one unlabeled queue family the
-// single-tenant daemon always exported. Histograms merge bucket-wise
-// (every queue uses the default bounds); QueueCap sums so depth/capacity
-// ratios stay meaningful.
-func (s MitigationQueueSnapshot) Merge(other MitigationQueueSnapshot) MitigationQueueSnapshot {
-	s.Enqueued += other.Enqueued
-	s.Handled += other.Handled
-	s.Dropped += other.Dropped
-	s.Blocked += other.Blocked
-	s.Failures += other.Failures
-	s.QueueLen += other.QueueLen
-	s.QueueCap += other.QueueCap
-	s.Synchronous = s.Synchronous && other.Synchronous
-	s.Wait = s.Wait.merge(other.Wait)
-	s.Handle = s.Handle.merge(other.Handle)
-	return s
-}
-
-// merge folds two histogram snapshots with identical bounds; on a bounds
-// mismatch the larger-count side wins (never happens for the default
-// bounds every queue shares).
-func (s HistogramSnapshot) merge(other HistogramSnapshot) HistogramSnapshot {
-	if len(s.Counts) != len(other.Counts) {
-		if other.Count > s.Count {
-			return other
-		}
-		return s
-	}
-	out := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]int64, len(s.Counts)),
-		Sum:    s.Sum + other.Sum,
-		Count:  s.Count + other.Count,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + other.Counts[i]
-	}
-	return out
-}

@@ -104,9 +104,12 @@ type MitigationConfig struct {
 	// Empty (and no WithRouteInjector option) leaves mitigation manual.
 	Controller string `json:"controller,omitempty"`
 	// ConfigDelay models the controller's configuration latency
-	// (default 15s, the paper's measurement; negative = no delay).
+	// (default 15s, the paper's measurement; negative = no delay): each
+	// southbound request carries a not-before stamp, its request time
+	// plus this delay. Fixed at construction.
 	ConfigDelay Duration `json:"config_delay,omitempty"`
-	// QueueDepth bounds the async mitigation queue (default 64).
+	// QueueDepth bounds the node's one mitigation queue, which every
+	// tenant shares (default 64). Fixed at construction.
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// MaxDeaggLen/MaxDeaggLen6 clamp de-aggregated announcements
 	// (defaults 24 and 48).

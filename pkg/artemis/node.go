@@ -106,11 +106,13 @@ type Node struct {
 	asNames *rib.ASNames
 	roas    atomic.Pointer[rpki.Table]
 
-	// Southbound wiring, fixed at construction and reused when tenants
-	// are added later.
-	inj       controller.RouteInjector
-	manual    bool
-	ctrlDelay time.Duration
+	// The mitigation lane, fixed at construction and shared by every
+	// tenant, those added later included: one queue and one worker for
+	// alerts (mitq), one southbound goroutine over a FIFO for route
+	// changes (lane). manual is the detection-only wiring.
+	mitq   *core.MitigationQueue
+	lane   *controller.Lane
+	manual bool
 
 	// mu guards the fields below. cfg (except its Sources, which source
 	// CRUD edits in place), tenants, order and table are replaced only
@@ -129,12 +131,12 @@ type Node struct {
 	runExited chan struct{}
 }
 
-// tenantState is one tenant's service stack: its own detector, monitor,
-// mitigation queue and controller client over the shared pipeline.
+// tenantState is one tenant's service stack: its own detector, monitor
+// and mitigator (incident table, limits, retry bound) over the shared
+// pipeline and the node's one mitigation lane.
 type tenantState struct {
 	name string
 	svc  *core.Service
-	ctrl *controller.Controller
 }
 
 type sourceEntry struct {
@@ -177,15 +179,6 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 		return nil, err
 	}
 
-	n.inj, n.manual = n.southbound(cfg)
-	n.ctrlDelay = cfg.Mitigation.ConfigDelay.Std()
-	switch {
-	case n.ctrlDelay < 0:
-		n.ctrlDelay = 0 // explicit "no controller latency"
-	case n.ctrlDelay == 0:
-		n.ctrlDelay = controller.DefaultConfigDelay
-	}
-
 	if cfg.Record.Path != "" {
 		rec, err := eventlog.NewRecorder(eventlog.RecorderConfig{
 			Prefix:       cfg.Record.Path,
@@ -199,12 +192,26 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 		n.rec = rec
 	}
 
+	var inj controller.RouteInjector
+	inj, n.manual = n.southbound(cfg)
+	delay := cfg.Mitigation.ConfigDelay.Std()
+	switch {
+	case delay < 0:
+		delay = 0 // explicit "no controller latency"
+	case delay == 0:
+		delay = controller.DefaultConfigDelay
+	}
+	n.mitq = core.NewMitigationQueue(cfg.Mitigation.QueueDepth)
+	n.lane = controller.NewLane(inj, delay, n.now)
+
 	// One service stack per tenant, all classifying on one shared
 	// pipeline under one policy table: the first apply builds them.
 	if err := n.applyLocked(cfg); err != nil {
 		if n.rec != nil {
 			n.rec.Close()
 		}
+		n.mitq.Close()
+		n.lane.Close()
 		return nil, err
 	}
 	n.sup = ingest.New(n.deliver, ingest.Config{
@@ -230,11 +237,8 @@ func New(cfg *Config, opts ...Option) (*Node, error) {
 }
 
 // newTenant builds one tenant's service stack over its lowered config.
-func (n *Node) newTenant(name string, ccfg *core.Config, queueDepth int) (*tenantState, error) {
-	ctrl := controller.New(n.inj, n.now,
-		func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
-		controller.WithConfigDelay(n.ctrlDelay))
-	svc, err := core.NewService(ccfg, ctrl, n.now, core.WithAsyncMitigation(queueDepth))
+func (n *Node) newTenant(name string, ccfg *core.Config) (*tenantState, error) {
+	svc, err := core.NewService(ccfg, n.lane, n.now, core.WithMitigationQueue(n.mitq))
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +271,7 @@ func (n *Node) newTenant(name string, ccfg *core.Config, queueDepth int) (*tenan
 		n.bus.publish(Event{Kind: KindLimit, Tenant: name,
 			Limit: &LimitEvent{Tenant: name, Limit: "mitigation-rate", Count: 1}})
 	})
-	return &tenantState{name: name, svc: svc, ctrl: ctrl}, nil
+	return &tenantState{name: name, svc: svc}, nil
 }
 
 // publishQuotaDrop surfaces a batch's per-tenant classification-quota
@@ -547,8 +551,9 @@ func (n *Node) RecordStatus() (eventlog.RecorderSnapshot, bool) {
 // Run starts the configured monitoring sources and blocks until ctx is
 // cancelled or Drain is called, then shuts down gracefully in dependency
 // order: sources stop (no new batches), the pipeline flushes and closes
-// (classification and alert commit complete), the mitigation queues drain
-// (every accepted alert handled), and event subscriptions close. Run may
+// (classification and alert commit complete), the mitigation queue drains
+// (every accepted alert handled), the southbound lane sends what is due
+// and fails the rest, and event subscriptions close. Run may
 // be called at most once; the node cannot be restarted after it returns.
 func (n *Node) Run(ctx context.Context) error {
 	n.mu.Lock()
@@ -614,7 +619,7 @@ func (n *Node) Drain() {
 }
 
 func (n *Node) shutdown() {
-	n.opts.logf("artemis: draining (sources -> pipeline -> mitigation queues)")
+	n.opts.logf("artemis: draining (sources -> pipeline -> mitigation queue -> southbound lane)")
 	n.sup.Close()
 	n.pl.Flush()
 	n.pl.Close()
@@ -622,14 +627,10 @@ func (n *Node) shutdown() {
 		n.rec.Close() // queue drains; final segment flushes
 	}
 	n.closeEventStreams()
-	n.mu.Lock()
-	tenants := make([]*tenantState, 0, len(n.tenants))
-	for _, ts := range n.tenants {
-		tenants = append(tenants, ts)
-	}
-	n.mu.Unlock()
-	for _, ts := range tenants {
-		ts.svc.Close()
+	n.mitq.Close()
+	n.lane.Close()
+	if c := n.lane.Cancelled(); c > 0 {
+		n.opts.logf("artemis: %d southbound requests not yet due failed as closed", c)
 	}
 	n.bus.close()
 }
@@ -829,7 +830,7 @@ func (n *Node) applyLocked(next *Config) error {
 			pol.Runtime = n.table.Runtime(pol.Name)
 		} else {
 			var err error
-			if ts, err = n.newTenant(pol.Name, pol.Config, next.Mitigation.QueueDepth); err != nil {
+			if ts, err = n.newTenant(pol.Name, pol.Config); err != nil {
 				closeAdded()
 				return err
 			}
@@ -1533,9 +1534,9 @@ func (n *Node) Health() Health {
 
 // WriteMetrics renders the node's Prometheus-style text metrics — the
 // same body GET /metrics serves. Node-wide families keep their
-// single-tenant names (per-tenant mitigation queues merge into the one
-// unlabeled family); each tenant additionally gets artemis_tenant_*
-// counters labeled with its name.
+// single-tenant names (the one mitigation queue and lane are node-wide);
+// each tenant additionally gets artemis_tenant_* counters labeled with its
+// name.
 func (n *Node) WriteMetrics(w io.Writer) {
 	n.mu.Lock()
 	tenants := n.orderedTenantsLocked()
@@ -1547,20 +1548,14 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	if n.rec != nil {
 		n.rec.Snapshot().WriteProm(w)
 	}
-	var mq stats.MitigationQueueSnapshot
+	mq := n.mitq.Snapshot()
 	alerts, dedup := 0, 0
-	var failures int64
 	var legit, hijacked, unknown int
 	now := n.now()
-	for i, ts := range tenants {
-		if i == 0 {
-			mq = ts.svc.Mitigation.Snapshot()
-		} else {
-			mq = mq.Merge(ts.svc.Mitigation.Snapshot())
-		}
+	for _, ts := range tenants {
+		mq.Failures += ts.svc.Mitigator.Failures()
 		alerts += ts.svc.Detector.AlertCount()
 		dedup += ts.svc.Detector.DedupSize()
-		failures += int64(ts.ctrl.Failures())
 		snap := ts.svc.Monitor.Snapshot(now)
 		legit += snap.LegitVPs
 		hijacked += snap.HijackedVPs
@@ -1569,7 +1564,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	mq.WriteProm(w)
 	fmt.Fprintf(w, "artemis_alerts_total %d\n", alerts)
 	fmt.Fprintf(w, "artemis_alert_dedup_size %d\n", dedup)
-	fmt.Fprintf(w, "artemis_controller_failed_actions_total %d\n", failures)
+	fmt.Fprintf(w, "artemis_controller_failed_actions_total %d\n", n.lane.Failures())
 	fmt.Fprintf(w, "artemis_monitor_legit_vps %d\n", legit)
 	fmt.Fprintf(w, "artemis_monitor_hijacked_vps %d\n", hijacked)
 	fmt.Fprintf(w, "artemis_monitor_unknown_vps %d\n", unknown)

@@ -116,7 +116,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	exp.Publish(bmpUpdate([]bgp.ASN{65010, 666}, "10.0.0.0/24"))
 	exp.Publish(bmpUpdate([]bgp.ASN{65010, 3356, 666}, "10.0.0.0/23"))
 	waitCond(t, "live alerts+mitigations", func() bool {
-		return len(live.Alerts()) == 2 && len(live.Mitigations()) == 2
+		return len(live.Alerts()) == 2 && len(live.Mitigations()) == 2 && sent(live, liveInj)
 	})
 
 	// Losing the only monitored peer must surface on health: the source
@@ -178,6 +178,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 			t.Fatalf("finished replay reconnected %d times, want 0", h.Sources[0].Reconnects)
 		}
 		waitCond(t, "replay mitigations", func() bool { return len(node.Mitigations()) == 2 })
+		waitCond(t, "replay announcements", func() bool { return sent(node, inj) })
 		stop()
 		return node.Alerts(), node.Mitigations()
 	}
@@ -210,4 +211,15 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replayed mitigations differ from live:\nlive:   %s\nreplay: %s",
 			mustJSON(t, norm(liveMits)), mustJSON(t, norm(m1)))
 	}
+}
+
+// sent reports whether inj has received every announcement the node's
+// mitigations requested. Drain fails requests not yet due as closed, so a
+// test that compares mitigation records waits for this before stopping.
+func sent(n *artemis.Node, inj *stringInjector) bool {
+	want := 0
+	for _, m := range n.Mitigations() {
+		want += len(m.Announced)
+	}
+	return len(inj.all()) == want
 }
